@@ -54,7 +54,6 @@ from .model import (
     forward,
     forward_batch,
     init_params,
-    knn_predict,
     lstm_cell,
     multi_head_attention,
     predict,
@@ -65,6 +64,6 @@ from .model import (
 from .rng import SplitMix64, subseed
 from .synthetic import SyntheticConfig, generate_synthetic
 from .tensor import Graph, Tensor, backward, grad_check
-from .training import AdamState, TrainConfig, adam_step, cross_entropy, train
+from .training import AdamState, TrainConfig, adam_step, train
 
 __version__ = "0.1.0"

@@ -12,14 +12,11 @@ Artifacts live under the output directory (--out, default runs/):
 
 Exit status: 0 success, 1 usage error, 2 data or validation error,
 3 numeric failure; each error prints one diagnostic line on stderr.
-The STORMSTACK_THREADS environment variable caps worker threads used
-while featurizing (default 1).
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dataio
 from .config import resolve, resolved_lines
@@ -40,19 +37,6 @@ class _Parser(argparse.ArgumentParser):
     # usage-error path instead so the exit-code contract holds
     def error(self, message):
         raise UsageError(message)
-
-
-def _thread_count():
-    raw = os.environ.get("STORMSTACK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"STORMSTACK_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise UsageError(f"STORMSTACK_THREADS must be at least 1, got {count}")
-    return count
 
 
 def _write_run_log(cfg):
@@ -81,20 +65,11 @@ def cmd_featurize(cfg, args):
     missing = [e.event_id for e in events if e.event_id not in volumes]
     if missing:
         raise ValidationError(f"no volumes for events {missing[:5]} (of {len(missing)})")
-
-    def featurize_one(event):
-        return build_sample(
-            event, volumes[event.event_id],
-            threshold=cfg.threshold, channels=channels,
-            kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r,
-        )
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(featurize_one, events))
-    else:
-        samples = [featurize_one(e) for e in events]
+    samples = [
+        build_sample(e, volumes[e.event_id], threshold=cfg.threshold, channels=channels,
+                     kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r)
+        for e in events
+    ]
     balanced = balance(samples, cfg.seed)
     parts = split(balanced, cfg.fractions, cfg.seed)
     _write_run_log(cfg)
@@ -262,7 +237,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        _thread_count()  # validate the env var before any work
         cfg = resolve(args.config, args.seed, args.out)
         return _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

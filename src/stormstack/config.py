@@ -1,5 +1,5 @@
-"""Run configuration: defaults, `key=value` config files, and flag
-overrides.
+"""Run configuration: defaults, `key=value` config files, flag
+overrides, and the value codecs that checkpoint headers share.
 
 Keys are sectioned by prefix: `data.` for generation/featurization,
 `kalman.` for smoothing, `model.` for the architecture, `train.` for
@@ -9,9 +9,10 @@ resolved configuration is echoed to the run log so a run can be
 reproduced from it alone.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
-from .errors import ParseError, UsageError
+from .errors import DimensionError, ParseError, UsageError, ValidationError, open_text
 from .model import ModelConfig
 from .synthetic import SyntheticConfig
 from .training import TrainConfig
@@ -113,72 +114,79 @@ def _parse_bool(text):
     return text == "true"
 
 
-def _parse_dims(text):
-    return tuple(int(p) for p in text.split("x"))
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(text):
-    return tuple(float(p) for p in text.split(","))
-
-
-def _parse_fractions(text):
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_parse_float(p) for p in text.split(","))
 
 
 def _parse_conv(text):
-    if not text:
-        return ()
-    layers = []
-    for part in text.split(","):
-        f, _, k = part.partition("x")
-        layers.append((int(f), int(k)))
-    return tuple(layers)
+    pairs = (part.partition("x") for part in text.split(",")) if text else ()
+    return tuple((int(f), int(k)) for f, _, k in pairs)
 
 
-def _render_conv(layers):
-    return ",".join(f"{f}x{k}" for f, k in layers)
+# (parse, render) pairs; parse raises ValueError on malformed text
+_INT = (int, str)
+_FLOAT = (_parse_float, repr)
+_TEXT = (str, str)
+_FLOATS = (_parse_floats, lambda values: ",".join(repr(v) for v in values))
+_DIMS = (lambda text: tuple(int(p) for p in text.split("x")), lambda dims: "x".join(map(str, dims)))
+_CONV = (_parse_conv, lambda layers: ",".join(f"{f}x{k}" for f, k in layers))
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+# input standardization stays empty until standardize_inputs fills it
+_OPTIONAL_FLOATS = (lambda text: _parse_floats(text) if text else (), _FLOATS[1])
 
-
-def _render_dims(dims):
-    return "x".join(str(d) for d in dims)
-
-
-def _render_floats(values):
-    return ",".join(repr(v) for v in values)
-
-
-# key -> (RunConfig field, parse, render)
+# run config key -> (RunConfig field, codec)
 _KEYS = {
-    "seed": ("seed", int, str),
-    "data.out_dir": ("out_dir", str, str),
-    "data.threshold": ("threshold", float, repr),
-    "data.fractions": ("fractions", _parse_fractions, _render_floats),
-    "data.samples_per_class": ("samples_per_class", int, str),
-    "data.steps": ("steps", int, str),
-    "data.grid": ("grid", _parse_dims, _render_dims),
-    "data.cell": ("cell", _parse_dims, _render_dims),
-    "data.base_dbz": ("base_dbz", _parse_floats, _render_floats),
-    "data.peak_dbz": ("peak_dbz", _parse_floats, _render_floats),
-    "data.rho": ("rho", float, repr),
-    "data.sigma": ("sigma", float, repr),
-    "kalman.q": ("kalman_q", float, repr),
-    "kalman.r": ("kalman_r", float, repr),
-    "model.conv": ("conv_layers", _parse_conv, _render_conv),
-    "model.hidden": ("lstm_hidden", int, str),
-    "model.heads": ("attention_heads", int, str),
-    "model.head_dim": ("attention_dim", int, str),
-    "model.padding": ("conv_padding", str, str),
-    "model.recurrent": ("recurrent", str, str),
-    "model.attention": ("attention", _parse_bool, lambda v: "true" if v else "false"),
-    "model.knn_k": ("knn_k", int, str),
-    "train.learning_rate": ("learning_rate", float, repr),
-    "train.batch_size": ("batch_size", int, str),
-    "train.max_epochs": ("max_epochs", int, str),
-    "train.patience": ("patience", int, str),
-    "train.beta1": ("beta1", float, repr),
-    "train.beta2": ("beta2", float, repr),
-    "train.epsilon": ("epsilon", float, repr),
+    "seed": ("seed", _INT),
+    "data.out_dir": ("out_dir", _TEXT),
+    "data.threshold": ("threshold", _FLOAT),
+    "data.fractions": ("fractions", _FLOATS),
+    "data.samples_per_class": ("samples_per_class", _INT),
+    "data.steps": ("steps", _INT),
+    "data.grid": ("grid", _DIMS),
+    "data.cell": ("cell", _DIMS),
+    "data.base_dbz": ("base_dbz", _FLOATS),
+    "data.peak_dbz": ("peak_dbz", _FLOATS),
+    "data.rho": ("rho", _FLOAT),
+    "data.sigma": ("sigma", _FLOAT),
+    "kalman.q": ("kalman_q", _FLOAT),
+    "kalman.r": ("kalman_r", _FLOAT),
+    "model.conv": ("conv_layers", _CONV),
+    "model.hidden": ("lstm_hidden", _INT),
+    "model.heads": ("attention_heads", _INT),
+    "model.head_dim": ("attention_dim", _INT),
+    "model.padding": ("conv_padding", _TEXT),
+    "model.recurrent": ("recurrent", _TEXT),
+    "model.attention": ("attention", _BOOL),
+    "model.knn_k": ("knn_k", _INT),
+    "train.learning_rate": ("learning_rate", _FLOAT),
+    "train.batch_size": ("batch_size", _INT),
+    "train.max_epochs": ("max_epochs", _INT),
+    "train.patience": ("patience", _INT),
+    "train.beta1": ("beta1", _FLOAT),
+    "train.beta2": ("beta2", _FLOAT),
+    "train.epsilon": ("epsilon", _FLOAT),
 }
+
+# field -> codec; checkpoint headers write the ModelConfig fields that
+# RunConfig shares exactly as run configs do
+_CODECS = dict(_KEYS.values(), input_channels=_INT, classes=_INT,
+               input_shift=_OPTIONAL_FLOATS, input_scale=_OPTIONAL_FLOATS)
+
+_HEADER_FIELDS = tuple(f.name for f in fields(ModelConfig))
+
+
+def _parse(key, field, text, where):
+    try:
+        return _CODECS[field][0](text)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -188,11 +196,8 @@ def parse_config_file(path) -> dict:
     malformed values fail loudly.
     """
     values = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    with open_text(path, UsageError, "config file") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -201,15 +206,34 @@ def parse_config_file(path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        text = text.strip()
         if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        field, parse, _ = _KEYS[key]
-        try:
-            values[field] = parse(text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        field = _KEYS[key][0]
+        values[field] = _parse(key, field, text.strip(), f"{path}:{lineno}")
     return values
+
+
+def model_config_lines(config: ModelConfig):
+    """The checkpoint header: one `field=value` line per ModelConfig
+    field, in declaration order."""
+    return [f"{name}={_CODECS[name][1](getattr(config, name))}" for name in _HEADER_FIELDS]
+
+
+def parse_model_config(items, path) -> ModelConfig:
+    """Inverse of model_config_lines; items maps each header key to
+    its (line number, text)."""
+    missing = [k for k in _HEADER_FIELDS if k not in items]
+    if missing:
+        raise ParseError(f"{path}: checkpoint config is missing {missing}")
+    unknown = [k for k in items if k not in _HEADER_FIELDS]
+    if unknown:
+        raise ParseError(f"{path}: unknown checkpoint config keys {unknown}")
+    try:
+        return ModelConfig(**{
+            k: _parse(k, k, text, f"{path}:{lineno}") for k, (lineno, text) in items.items()
+        })
+    except (ValidationError, DimensionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def resolve(config_path=None, seed=None, out_dir=None) -> RunConfig:
@@ -227,7 +251,4 @@ def resolve(config_path=None, seed=None, out_dir=None) -> RunConfig:
 def resolved_lines(cfg: RunConfig):
     """The full configuration as `key=value` lines, one per key, in a
     fixed order; parsing them back reproduces cfg exactly."""
-    lines = []
-    for key, (field, _, render) in _KEYS.items():
-        lines.append(f"{key}={render(getattr(cfg, field))}")
-    return lines
+    return [f"{key}={render(getattr(cfg, field))}" for key, (field, (_, render)) in _KEYS.items()]

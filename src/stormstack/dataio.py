@@ -1,33 +1,33 @@
 """File formats: sequence datasets, model checkpoints, and the raw
 event/volume files the generator writes.
 
-Everything is plain text with `\n` line endings; reals are rendered
-with repr(), which round-trips every double exactly (at most 17
-significant digits).
+Everything is plain UTF-8 text with `\n` line endings; reals are
+rendered with repr(), which round-trips every double exactly, and the
+readers reject NaN and infinity.  Checkpoint headers use config codecs.
 """
 
 import csv
-import os
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError
+from .config import model_config_lines, parse_model_config
+from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
 from .features import EventRecord, FeatureSequence, SHSRVolume
 from .model import ModelConfig, expected_param_shapes
 from .tensor import Tensor
 
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
-_CONFIG_KEYS = (
-    "steps", "input_channels", "conv_layers", "lstm_hidden", "attention_heads",
-    "attention_dim", "classes", "conv_padding", "recurrent", "attention",
-    "input_shift", "input_scale", "seed",
-)
 
-
-def _require_file(path):
-    if not os.path.exists(path):
-        raise DataError(f"{path}: file not found")
+def _require_finite(block, path, first_line):
+    """Raise ParseError naming the line of the first NaN or infinity in
+    block, whose rows (a 1-D block is one row) sit on consecutive lines
+    from first_line."""
+    ok = np.isfinite(block)
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=-1))) if ok.ndim > 1 else 0
+        bad = float(np.asarray(block)[~ok][0])
+        raise ParseError(f"{path}:{first_line + row}: non-finite value {bad!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +55,7 @@ def write_sequences(path, samples):
 
 def load_sequences(path):
     """Parse a sequence file back into FeatureSequences, in file order."""
-    _require_file(path)
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:3] != ["sample_id", "t", "label"]:
@@ -68,13 +67,19 @@ def load_sequences(path):
         seen = set()
         current_id = None
         current_label = None
+        first_line = None
         rows = []
 
         def flush():
             if current_id is not None:
-                samples.append(FeatureSequence(
-                    sample_id=current_id, label=current_label, data=np.array(rows)
-                ))
+                data = np.array(rows)
+                _require_finite(data, path, first_line)
+                try:
+                    samples.append(FeatureSequence(
+                        sample_id=current_id, label=current_label, data=data
+                    ))
+                except DataError as exc:
+                    raise type(exc)(f"{path}:{first_line}: {exc}") from None
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -93,6 +98,7 @@ def load_sequences(path):
                 seen.add(sample_id)
                 current_id = sample_id
                 current_label = label
+                first_line = lineno
                 rows = []
             if t != len(rows):
                 raise ValidationError(f"{path}:{lineno}: expected t={len(rows)} for {sample_id}, got {t}")
@@ -107,59 +113,6 @@ def load_sequences(path):
 # checkpoints
 
 
-def _config_items(config):
-    conv = ",".join(f"{f}x{k}" for f, k in config.conv_layers)
-    return {
-        "steps": str(config.steps),
-        "input_channels": str(config.input_channels),
-        "conv_layers": conv,
-        "lstm_hidden": str(config.lstm_hidden),
-        "attention_heads": str(config.attention_heads),
-        "attention_dim": str(config.attention_dim),
-        "classes": str(config.classes),
-        "conv_padding": config.conv_padding,
-        "recurrent": config.recurrent,
-        "attention": "true" if config.attention else "false",
-        "input_shift": ",".join(repr(v) for v in config.input_shift),
-        "input_scale": ",".join(repr(v) for v in config.input_scale),
-        "seed": str(config.seed),
-    }
-
-
-def _parse_config(items, path):
-    missing = [k for k in _CONFIG_KEYS if k not in items]
-    if missing:
-        raise ParseError(f"{path}: checkpoint config is missing {missing}")
-    unknown = [k for k in items if k not in _CONFIG_KEYS]
-    if unknown:
-        raise ParseError(f"{path}: unknown checkpoint config keys {unknown}")
-    try:
-        conv = tuple(
-            (int(part.split("x")[0]), int(part.split("x")[1]))
-            for part in items["conv_layers"].split(",")
-            if part
-        )
-        if items["attention"] not in ("true", "false"):
-            raise ValueError(f"attention must be true or false, got {items['attention']!r}")
-        return ModelConfig(
-            steps=int(items["steps"]),
-            input_channels=int(items["input_channels"]),
-            conv_layers=conv,
-            lstm_hidden=int(items["lstm_hidden"]),
-            attention_heads=int(items["attention_heads"]),
-            attention_dim=int(items["attention_dim"]),
-            classes=int(items["classes"]),
-            conv_padding=items["conv_padding"],
-            recurrent=items["recurrent"],
-            attention=items["attention"] == "true",
-            input_shift=tuple(float(v) for v in items["input_shift"].split(",") if v),
-            input_scale=tuple(float(v) for v in items["input_scale"].split(",") if v),
-            seed=int(items["seed"]),
-        )
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: bad checkpoint config: {exc}") from None
-
-
 def save_checkpoint(params, config: ModelConfig, path):
     """Text checkpoint: version line, config echo, then one `@name dims`
     block per parameter with repr() values."""
@@ -170,8 +123,8 @@ def save_checkpoint(params, config: ModelConfig, path):
         raise UsageError(f"params do not match config (missing {missing}, unexpected {extra})")
     with open(path, "w", newline="") as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
-        for key, value in _config_items(config).items():
-            fh.write(f"{key}={value}\n")
+        for line in model_config_lines(config):
+            fh.write(line + "\n")
         for name in expected:
             tensor = params[name]
             if tensor.shape != expected[name]:
@@ -186,10 +139,9 @@ def save_checkpoint(params, config: ModelConfig, path):
 
 def load_checkpoint(path):
     """Read a checkpoint back as (params, config)."""
-    _require_file(path)
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != CHECKPOINT_HEADER:
+    with open_text(path) as fh:
+        lines = [line.rstrip("\r\n") for line in fh] or [""]
+    if lines[0] != CHECKPOINT_HEADER:
         raise ParseError(f"{path}: expected header {CHECKPOINT_HEADER!r}, got {lines[0]!r}")
     pos = 1
     items = {}
@@ -198,9 +150,9 @@ def load_checkpoint(path):
         if "=" not in line:
             raise ParseError(f"{path}:{pos + 1}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        items[key] = value
+        items[key] = (pos + 1, value)
         pos += 1
-    config = _parse_config(items, path)
+    config = parse_model_config(items, path)
     expected = expected_param_shapes(config)
     params = {}
     while pos < len(lines):
@@ -210,25 +162,23 @@ def load_checkpoint(path):
             continue
         if not line.startswith("@"):
             raise ParseError(f"{path}:{pos + 1}: expected a @parameter block, got {line!r}")
-        fields = line[1:].split()
-        name, dims = fields[0], fields[1:]
+        name, *dims = line[1:].split() or [""]
         if name not in expected:
-            raise ValidationError(f"{path}: unknown parameter {name!r}")
+            raise ValidationError(f"{path}:{pos + 1}: unknown parameter {name!r}")
         if name in params:
-            raise ValidationError(f"{path}: duplicate parameter {name!r}")
+            raise ValidationError(f"{path}:{pos + 1}: duplicate parameter {name!r}")
         try:
             shape = tuple(int(d) for d in dims)
         except ValueError:
             raise ParseError(f"{path}:{pos + 1}: bad dimensions in {line!r}") from None
         if shape != expected[name]:
             raise DimensionError(
-                f"{path}: parameter {name} has shape {shape}, config requires {expected[name]}"
+                f"{path}:{pos + 1}: parameter {name} has shape {shape}, config requires {expected[name]}"
             )
-        count = 1
-        for d in shape:
-            count *= d
+        count = int(np.prod(shape))
         values = []
         pos += 1
+        start = pos
         while len(values) < count and pos < len(lines) and not lines[pos].startswith("@"):
             chunk = lines[pos].split()
             try:
@@ -240,7 +190,11 @@ def load_checkpoint(path):
             raise ParseError(
                 f"{path}: incomplete block for {name}: got {len(values)} of {count} values"
             )
-        params[name] = Tensor(np.array(values).reshape(shape))
+        block = np.array(values)
+        if not np.isfinite(block).all():
+            for i in range(start, pos):  # find the line to name
+                _require_finite([float(v) for v in lines[i].split()], path, i + 1)
+        params[name] = Tensor(block.reshape(shape), _checked=True)
     missing = [n for n in expected if n not in params]
     if missing:
         raise ValidationError(f"{path}: checkpoint is missing parameters {missing}")
@@ -265,8 +219,7 @@ def write_events(path, events, channels):
 
 def load_events(path):
     """Returns (events, channels) with channels taken from the header."""
-    _require_file(path)
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         fixed = ["event_id", "label", "latitude", "longitude", "timestamp"]
@@ -278,16 +231,20 @@ def load_events(path):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
+                numbers = [float(v) for v in row[2:4] + row[5:]]
+                _require_finite(numbers, path, lineno)
                 events.append(EventRecord(
                     event_id=row[0],
                     label=int(row[1]),
-                    latitude=float(row[2]),
-                    longitude=float(row[3]),
+                    latitude=numbers[0],
+                    longitude=numbers[1],
                     timestamp=int(row[4]),
-                    auxiliary={c: float(v) for c, v in zip(channels, row[5:])},
+                    auxiliary=dict(zip(channels, numbers[2:])),
                 ))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return events, channels
 
 
@@ -312,8 +269,7 @@ def write_volumes(path, events, volumes):
 
 def load_volumes(path):
     """Returns {event_id: [SHSRVolume, ...]} preserving file order."""
-    _require_file(path)
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         fixed = ["event_id", "timestamp", "nx", "ny", "nz", "missing"]
@@ -326,14 +282,18 @@ def load_volumes(path):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
                 dims = (int(row[2]), int(row[3]), int(row[4]))
+                numbers = np.array([float(v) for v in row[5:]])
+                _require_finite(numbers, path, lineno)
                 volume = SHSRVolume(
                     dims=dims,
-                    values=np.array([float(v) for v in row[6:]]),
+                    values=numbers[1:],
                     timestamp=int(row[1]),
-                    missing=float(row[5]),
+                    missing=float(numbers[0]),
                 )
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            except (ValidationError, DimensionError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
             if dims[0] * dims[1] * dims[2] != cells:
                 raise DimensionError(f"{path}:{lineno}: dims {dims} do not match {cells} value columns")
             volumes.setdefault(row[0], []).append(volume)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, open_text
 
 LABELS = (0, 1, 2)
 
@@ -154,7 +154,7 @@ def write_report_csv(path, reports):
 def read_report_csv(path):
     """Inverse of write_report_csv."""
     reports = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != _CSV_FIELDS:

@@ -151,11 +151,6 @@ def standardize_inputs(config: ModelConfig, samples) -> ModelConfig:
     return replace(config, input_shift=tuple(mean), input_scale=tuple(std))
 
 
-def expected_param_names(config: ModelConfig):
-    """Parameter names in initialization order."""
-    return list(expected_param_shapes(config))
-
-
 def expected_param_shapes(config: ModelConfig):
     """Name -> shape map in initialization order."""
     shapes = {}
@@ -449,8 +444,3 @@ class KNNClassifier:
         nearest = np.argsort(dists, kind="stable")[: self.k]
         votes = np.bincount(self._labels[nearest], minlength=3)
         return int(np.argmax(votes))
-
-
-def knn_predict(train_samples, query, k: int = 5):
-    """One-shot k-nearest-neighbour prediction for a single query."""
-    return KNNClassifier(k=k).fit(train_samples).predict(query)

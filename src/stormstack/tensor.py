@@ -295,16 +295,6 @@ def softmax(x: Tensor) -> Tensor:
     return _emit(values, (x,), bwd)
 
 
-def elementwise(op: str, *args) -> Tensor:
-    """Dispatch by name; the named functions are the primary surface."""
-    table = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "add": add, "mul": mul}
-    if op in table:
-        return table[op](*args)
-    if op == "concat-last-axis":
-        return concat(args)
-    raise UsageError(f"unknown elementwise op {op!r}")
-
-
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a vector along the last axis of x."""
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:

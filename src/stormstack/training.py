@@ -10,8 +10,6 @@ from .model import ModelConfig, forward_batch, init_params
 from .rng import SplitMix64
 from .tensor import Graph, Tensor, backward, nll_loss
 
-LOG_PROB_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -52,18 +50,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-
-
-def cross_entropy(probs, label: int) -> float:
-    """-ln p[label] with the probability floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (3,):
-        raise UsageError(f"cross_entropy expects three probabilities, got shape {probs.shape}")
-    if label not in (0, 1, 2):
-        raise UsageError(f"label must be 0, 1, or 2, got {label}")
-    if not np.isfinite(probs).all() or probs.min() < 0:
-        raise UsageError("cross_entropy got an invalid probability vector")
-    return float(-np.log(max(probs[label], LOG_PROB_FLOOR)))
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
@@ -112,11 +98,9 @@ def _stack_dataset(samples, what):
 
 
 def _dataset_loss_acc(x, y, params, config):
-    probs = forward_batch(Tensor(x), params, config).array
-    picked = probs[np.arange(len(y)), y]
-    loss = float(-np.log(np.maximum(picked, LOG_PROB_FLOOR)).mean())
-    acc = float((probs.argmax(axis=1) == y).mean())
-    return loss, acc
+    probs = forward_batch(Tensor(x), params, config)
+    acc = float((probs.array.argmax(axis=1) == y).mean())
+    return nll_loss(probs, y).item(), acc
 
 
 def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConfig):

@@ -146,21 +146,6 @@ def test_unknown_baseline_is_usage_error(pipeline, capsys):
     assert "unknown baselines" in capsys.readouterr().err
 
 
-def test_threaded_featurize_matches_serial(tmp_path, monkeypatch):
-    small = "seed = 2\ndata.samples_per_class = 6\ndata.steps = 4\n" \
-            "data.grid = 4x4x2\ndata.cell = 2x2x1\n"
-    config = tmp_path / "small.cfg"
-    config.write_text(small)
-    outputs = {}
-    for threads, name in (("1", "serial"), ("3", "threaded")):
-        out = tmp_path / name
-        monkeypatch.setenv("STORMSTACK_THREADS", threads)
-        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
-        assert cli.main(["featurize", "--config", str(config), "--out", str(out)]) == 0
-        outputs[name] = [(out / f).read_bytes() for f in ("train.csv", "val.csv", "test.csv")]
-    assert outputs["serial"] == outputs["threaded"]
-
-
 def test_no_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -174,15 +159,6 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_positive_class_must_be_a_label(capsys):
     assert cli.main(["evaluate", "--positive-class", "3"]) == 1
     assert "usage error" in capsys.readouterr().err
-
-
-def test_bad_thread_env_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STORMSTACK_THREADS", "zebra")
-    assert cli.main(["generate", "--out", str(tmp_path / "x")]) == 1
-    assert "STORMSTACK_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("STORMSTACK_THREADS", "0")
-    assert cli.main(["generate", "--out", str(tmp_path / "x")]) == 1
-    assert "STORMSTACK_THREADS" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_is_data_error(tmp_path, capsys):
@@ -212,9 +188,50 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 def test_malformed_config_value_is_data_error(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("train.max_epochs = soon\n")
-    assert cli.main(["generate", "--config", str(config)]) == 2
-    assert "bad value" in capsys.readouterr().err
+    for line in ("train.max_epochs = soon", "data.sigma = nan", "data.rho = inf",
+                 "data.base_dbz = 20.0,-inf,14.0", "data.fractions ="):
+        config.write_text("seed = 3\n" + line + "\n")
+        assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 2, line
+        err = capsys.readouterr().err
+        assert f"{config}:2: bad value" in err
+        assert err.count("\n") == 1
+
+
+def _one_data_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_non_utf8_input_is_data_error(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    for name in ("model.ckpt", "test.csv", "metrics_model.csv"):
+        (tmp_path / name).write_bytes((out / name).read_bytes() + b"\xff")
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+    scratch = str(tmp_path / "scratch")
+    runs = (
+        ["predict", "--checkpoint", str(tmp_path / "model.ckpt"), "--out", scratch],
+        ["predict", "--checkpoint", str(out / "model.ckpt"), "--input", str(tmp_path / "test.csv"),
+         "--out", scratch],
+        ["report", "--out", str(tmp_path)],
+        ["generate", "--config", str(bad_config), "--out", scratch],
+    )
+    for argv, name in zip(runs, ("model.ckpt", "test.csv", "metrics_model.csv", "bad.cfg")):
+        assert cli.main(argv) == 2, argv[0]
+        _one_data_error(capsys, name, "is not UTF-8 text")
+
+
+def test_non_finite_input_is_data_error(pipeline, tmp_path, capsys):
+    _, out = pipeline
+    lines = (out / "test.csv").read_text().split("\n")
+    lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan"])
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines))
+    assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--input", str(bad),
+                     "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{bad}:4: non-finite value nan")
 
 
 def test_resolve_layers_defaults_file_then_flags(tmp_path):

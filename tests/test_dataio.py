@@ -90,6 +90,24 @@ def test_sequences_malformed(tmp_path):
         load_sequences(path)
 
 
+def test_sequences_reject_non_finite(tmp_path):
+    path = tmp_path / "seq.csv"
+    head = "sample_id,t,label,f_1,f_2\n"
+    path.write_text(head + "a,0,1,1.0,2.0\na,1,1,nan,2.0\nb,0,1,1.0,2.0\n")
+    with pytest.raises(ParseError) as err:
+        load_sequences(path)
+    assert f"{path}:3: non-finite value nan" in str(err.value)
+    path.write_text(head + "a,0,1,1.0,2.0\nb,0,1,1.0,-inf\n")
+    with pytest.raises(ParseError) as err:
+        load_sequences(path)
+    assert f"{path}:3:" in str(err.value)
+    # record-level checks name the sample's first line too
+    path.write_text(head + "a,0,1,1.0,2.0\nb,0,7,1.0,2.0\nb,1,7,1.0,2.0\n")
+    with pytest.raises(ValidationError) as err:
+        load_sequences(path)
+    assert f"{path}:3: label must be" in str(err.value)
+
+
 def test_sequences_structural_checks(tmp_path):
     path = tmp_path / "seq.csv"
     # interleaved ids
@@ -122,6 +140,48 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(got_params) == set(params)
     for name in params:
         assert np.array_equal(got_params[name].array, params[name].array)
+
+
+def test_checkpoint_header_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    assert path.read_text().split("@", 1)[0] == (
+        "#stormstack-checkpoint v1\n"
+        "steps=4\n"
+        "input_channels=2\n"
+        "conv_layers=3x2\n"
+        "lstm_hidden=2\n"
+        "attention_heads=1\n"
+        "attention_dim=4\n"
+        "classes=3\n"
+        "conv_padding=valid\n"
+        "recurrent=bilstm\n"
+        "attention=true\n"
+        "input_shift=\n"
+        "input_scale=\n"
+        "seed=3\n"
+    )
+    cfg = ModelConfig(**{**TINY.__dict__, "conv_layers": ((3, 2), (5, 1)), "recurrent": "lstm",
+                         "attention": False, "input_shift": (0.1, -1.0 / 3.0),
+                         "input_scale": (2.0, 1e-05)})
+    save_checkpoint(init_params(cfg), cfg, path)
+    assert path.read_text().split("@", 1)[0] == (
+        "#stormstack-checkpoint v1\n"
+        "steps=4\n"
+        "input_channels=2\n"
+        "conv_layers=3x2,5x1\n"
+        "lstm_hidden=2\n"
+        "attention_heads=1\n"
+        "attention_dim=4\n"
+        "classes=3\n"
+        "conv_padding=valid\n"
+        "recurrent=lstm\n"
+        "attention=false\n"
+        "input_shift=0.1,-0.3333333333333333\n"
+        "input_scale=2.0,1e-05\n"
+        "seed=3\n"
+    )
+    assert load_checkpoint(path)[1] == cfg
 
 
 def test_checkpoint_keeps_standardization(tmp_path):
@@ -210,12 +270,31 @@ def test_checkpoint_rejects_config_tampering(tmp_path):
     save_checkpoint(init_params(TINY), TINY, path)
     text = path.read_text()
     path.write_text(text.replace("recurrent=bilstm", "recurrent=tcn"))
-    with pytest.raises((ParseError, ValidationError)):
+    with pytest.raises((ParseError, ValidationError)) as err:
         load_checkpoint(path)
+    assert f"{path}: recurrent must be one of" in str(err.value)
     path.write_text(text.replace("seed=3\n", ""))
     with pytest.raises(ParseError) as err:
         load_checkpoint(path)
     assert "seed" in str(err.value)
+
+
+def test_checkpoint_rejects_non_finite(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    lines = path.read_text().split("\n")
+    row = lines.index("@out_b 3") + 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("\n".join(lines[:row] + ["0.0 inf 0.0"] + lines[row + 1:]))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(bad)
+    assert f"{bad}:{row + 1}: non-finite value inf" in str(err.value)
+    shift = lines.index("input_shift=")
+    lines[shift:shift + 2] = ["input_shift=nan,0.0", "input_scale=1.0,1.0"]
+    bad.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(bad)
+    assert f"{bad}:{shift + 1}: bad value for input_shift" in str(err.value)
 
 
 def test_save_checkpoint_validates_params(tmp_path):
@@ -266,6 +345,23 @@ def test_events_malformed(tmp_path):
         load_events(path)
 
 
+def test_events_reject_non_finite(tmp_path):
+    path = tmp_path / "events.csv"
+    header = "event_id,label,latitude,longitude,timestamp,temperature\n"
+    path.write_text(header + "ev0,0,35.0,-97.0,100,20.0\nev1,0,35.0,-97.0,100,inf\n")
+    with pytest.raises(ParseError) as err:
+        load_events(path)
+    assert f"{path}:3: non-finite value inf" in str(err.value)
+    path.write_text(header + "ev0,0,nan,-97.0,100,20.0\n")
+    with pytest.raises(ParseError) as err:
+        load_events(path)
+    assert f"{path}:2:" in str(err.value)
+    path.write_text(header + "ev0,0,95.0,-97.0,100,20.0\n")
+    with pytest.raises(ValidationError) as err:
+        load_events(path)
+    assert f"{path}:2: latitude out of range" in str(err.value)
+
+
 def _volume(values, timestamp):
     return SHSRVolume(dims=(2, 1, 2), values=np.asarray(values, dtype=np.float64),
                       timestamp=timestamp)
@@ -302,3 +398,20 @@ def test_volumes_validation(tmp_path):
                     "ev0,950,3,1,1,-999.0,1.0,2.0\n")
     with pytest.raises(DimensionError):
         load_volumes(path)
+
+
+def test_volumes_reject_non_finite(tmp_path):
+    path = tmp_path / "volumes.csv"
+    header = "event_id,timestamp,nx,ny,nz,missing,v_1,v_2\n"
+    path.write_text(header + "ev0,950,2,1,1,-999.0,1.0,2.0\nev0,960,2,1,1,-999.0,1.0,NaN\n")
+    with pytest.raises(ParseError) as err:
+        load_volumes(path)
+    assert f"{path}:3: non-finite value nan" in str(err.value)
+    path.write_text(header + "ev0,950,2,1,1,-inf,1.0,2.0\n")
+    with pytest.raises(ParseError) as err:
+        load_volumes(path)
+    assert f"{path}:2:" in str(err.value)
+    path.write_text(header + "ev0,950,2,1,0,-999.0,1.0,2.0\n")
+    with pytest.raises(ValidationError) as err:
+        load_volumes(path)
+    assert f"{path}:2: dims must be" in str(err.value)

@@ -13,7 +13,6 @@ from stormstack.tensor import (
     channel_affine,
     concat,
     conv1d,
-    elementwise,
     grad_check,
     matmul,
     mul,
@@ -156,16 +155,6 @@ def test_concat_and_grads():
         concat([])
     with pytest.raises(DimensionError):
         concat([a, Tensor([[1.0], [2.0]])])
-
-
-def test_elementwise_dispatch():
-    x = Tensor([1.0, -1.0])
-    assert list(elementwise("relu", x).values) == [1.0, 0.0]
-    assert list(elementwise("add", x, x).values) == [2.0, -2.0]
-    got = elementwise("concat-last-axis", x, x)
-    assert list(got.values) == [1.0, -1.0, 1.0, -1.0]
-    with pytest.raises(UsageError):
-        elementwise("power", x)
 
 
 def test_softmax_fixtures():

@@ -1,7 +1,5 @@
 """Optimizer and training-loop behavior."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,30 +7,10 @@ from stormstack.errors import DimensionError, UsageError, ValidationError
 from stormstack.features import FeatureSequence
 from stormstack.model import ModelConfig, forward_batch, init_params
 from stormstack.tensor import Tensor
-from stormstack.training import AdamState, TrainConfig, adam_step, cross_entropy, train
+from stormstack.training import AdamState, TrainConfig, adam_step, train
 
 CONFIG = ModelConfig(steps=6, input_channels=3, conv_layers=((4, 3),),
                      lstm_hidden=4, attention_heads=2, attention_dim=4, seed=0)
-
-
-def test_cross_entropy_fixtures():
-    assert cross_entropy([1.0, 0.0, 0.0], 0) == 0.0
-    third = 1.0 / 3.0
-    assert abs(cross_entropy([third, third, third], 1) - math.log(3.0)) < 1e-15
-    assert abs(cross_entropy([0.25, 0.75, 0.0], 1) + math.log(0.75)) < 1e-15
-    # a zero probability is floored, not infinite
-    assert abs(cross_entropy([0.0, 1.0, 0.0], 0) + math.log(1e-12)) < 1e-9
-
-
-def test_cross_entropy_validation():
-    with pytest.raises(UsageError):
-        cross_entropy([0.5, 0.5], 0)
-    with pytest.raises(UsageError):
-        cross_entropy([0.5, 0.25, 0.25], 3)
-    with pytest.raises(UsageError):
-        cross_entropy([np.nan, 0.5, 0.5], 0)
-    with pytest.raises(UsageError):
-        cross_entropy([-0.1, 0.6, 0.5], 0)
 
 
 def test_train_config_validation():
