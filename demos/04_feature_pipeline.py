@@ -9,7 +9,7 @@ channels, optionally Kalman-smoothed along time.
 import numpy as np
 
 from stormstack.features import (
-    SHSRVolume, balance, build_sample, class_counts, extract_shsr_stats, split,
+    SHSRVolume, SequenceSet, balance, build_sample, class_counts, extract_shsr_stats, split,
 )
 from stormstack.synthetic import SyntheticConfig, generate_synthetic
 
@@ -27,20 +27,23 @@ cfg = SyntheticConfig(samples_per_class=12, steps=6, seed=13)
 events, volumes = generate_synthetic(cfg)
 raw = build_sample(events[0], volumes[0])
 smoothed = build_sample(events[0], volumes[0], kalman_q=0.01)
-print(f"sample {raw.sample_id}: shape {raw.data.shape}"
+print(f"sample {events[0].event_id}: shape {raw.shape}"
       " (6 statistics + 10 auxiliary channels)")
 print("max-reflectivity channel, raw:     ",
-      np.round(raw.data[:, 1], 2))
+      np.round(raw[:, 1], 2))
 print("max-reflectivity channel, smoothed:",
-      np.round(smoothed.data[:, 1], 2))
+      np.round(smoothed[:, 1], 2))
 print("auxiliary channels repeat per row and bypass the smoother:",
-      bool(np.array_equal(raw.data[:, 6:], smoothed.data[:, 6:])))
+      bool(np.array_equal(raw[:, 6:], smoothed[:, 6:])))
 
 print()
 print("== balance, then split ==")
-samples = [build_sample(e, v, kalman_q=0.01) for e, v in zip(events, volumes)]
+samples = SequenceSet([e.event_id for e in events], [e.label for e in events],
+                      [build_sample(e, v, kalman_q=0.01) for e, v in zip(events, volumes)])
+print("stacked dataset: data", samples.data.shape, "labels", samples.labels.shape)
 # drop a few wind samples to fake an imbalanced archive
-lopsided = [s for s in samples if not (s.label == 2 and s.sample_id >= "ev00034")]
+lopsided = samples.take([i for i, (sample_id, label) in enumerate(zip(samples.ids, samples.labels))
+                         if not (label == 2 and sample_id >= "ev00034")])
 print("class counts before:", class_counts(lopsided))
 balanced = balance(lopsided, seed=5)
 print("class counts after: ", class_counts(balanced))

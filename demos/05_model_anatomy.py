@@ -12,7 +12,7 @@ from stormstack.model import (
     ModelConfig, forward, init_params, lstm_cell, predict_class,
     scaled_dot_attention, standardize_inputs,
 )
-from stormstack.features import FeatureSequence
+from stormstack.features import SequenceSet
 from stormstack.tensor import Tensor
 
 config = ModelConfig(steps=8, input_channels=5, conv_layers=((12, 3), (8, 3)),
@@ -31,7 +31,7 @@ print(f"total parameters: {total}")
 print()
 print("== a forward pass ==")
 rng = np.random.default_rng(6)
-sample = FeatureSequence("demo", 0, rng.standard_normal((8, 5)))
+sample = rng.standard_normal((8, 5))
 probs = forward(sample, params, config)
 print("class probabilities:", np.round(probs, 4), " sum:", float(np.sum(probs)))
 print("predicted class:", predict_class(probs))
@@ -59,8 +59,8 @@ print(f"  c = 0.5 * 2.0 = {c.array[0, 0]}, h = 0.5 * tanh(1) = {h.array[0, 0]:.6
 
 print()
 print("== standardization is part of the model ==")
-train = [FeatureSequence(f"s{i}", i % 3, rng.standard_normal((8, 5)) * 40.0 + 200.0)
-         for i in range(12)]
+train = SequenceSet([f"s{i}" for i in range(12)], [i % 3 for i in range(12)],
+                    rng.standard_normal((12, 8, 5)) * 40.0 + 200.0)
 fitted = standardize_inputs(config, train)
 print("input_shift head:", tuple(round(v, 1) for v in fitted.input_shift[:3]))
 print("input_scale head:", tuple(round(v, 1) for v in fitted.input_scale[:3]))

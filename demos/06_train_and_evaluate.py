@@ -8,7 +8,7 @@ k-nearest-neighbour baseline on the held-out test split.
 import time
 
 from stormstack.config import RunConfig
-from stormstack.features import balance, build_sample, split
+from stormstack.features import SequenceSet, balance, build_sample, split
 from stormstack.metrics import evaluate, multiclass_accuracy, render_table
 from stormstack.model import KNNClassifier, forward, predict_class, standardize_inputs
 from stormstack.synthetic import generate_synthetic
@@ -28,14 +28,15 @@ run = RunConfig(
 
 start = time.time()
 events, volumes = generate_synthetic(run.synthetic_config())
-samples = [build_sample(e, v, threshold=run.threshold,
-                        kalman_q=run.kalman_q, kalman_r=run.kalman_r)
-           for e, v in zip(events, volumes)]
+samples = SequenceSet([e.event_id for e in events], [e.label for e in events],
+                      [build_sample(e, v, threshold=run.threshold,
+                                    kalman_q=run.kalman_q, kalman_r=run.kalman_r)
+                       for e, v in zip(events, volumes)])
 parts = split(balance(samples, run.seed), run.fractions, run.seed)
 print(f"dataset: {parts.sizes()} train/val/test samples,"
-      f" {samples[0].data.shape[1]} channels per step")
+      f" {samples.data.shape[2]} channels per step")
 
-steps, width = parts.train[0].data.shape
+_, steps, width = parts.train.data.shape
 model_config = standardize_inputs(run.model_config(steps, width), parts.train)
 params, log = train(parts.train, parts.validation, model_config, run.train_config())
 print()
@@ -43,7 +44,7 @@ print("epoch  train_loss  val_loss  val_acc")
 for epoch, train_loss, val_loss, val_acc in log:
     print(f"{epoch:<6d} {train_loss:10.4f} {val_loss:9.4f} {val_acc:8.3f}")
 
-model_report = evaluate(lambda s: predict_class(forward(s, params, model_config)),
+model_report = evaluate(lambda x: predict_class(forward(x, params, model_config)),
                         parts.test, positive=0, name="Conv-BiLSTM-attention")
 knn_report = evaluate(KNNClassifier(k=run.knn_k).fit(parts.train).predict,
                       parts.test, positive=0, name="KNN")

@@ -29,8 +29,8 @@ from .features import (
     AUX_CHANNELS,
     DatasetSplit,
     EventRecord,
-    FeatureSequence,
     SHSRVolume,
+    SequenceSet,
     balance,
     build_sample,
     class_counts,
@@ -56,7 +56,6 @@ from .model import (
     init_params,
     lstm_cell,
     multi_head_attention,
-    predict,
     predict_class,
     scaled_dot_attention,
     standardize_inputs,

@@ -21,7 +21,7 @@ import sys
 from . import dataio
 from .config import resolve, resolved_lines
 from .errors import DataError, NumericError, StormError, UsageError, ValidationError
-from .features import AUX_CHANNELS, balance, build_sample, split
+from .features import AUX_CHANNELS, SequenceSet, balance, build_sample, split
 from .metrics import evaluate, format_metrics_row, read_report_csv, render_table, write_report_csv
 from .model import KNNClassifier, forward, predict_class, standardize_inputs
 from .synthetic import generate_synthetic
@@ -65,11 +65,12 @@ def cmd_featurize(cfg, args):
     missing = [e.event_id for e in events if e.event_id not in volumes]
     if missing:
         raise ValidationError(f"no volumes for events {missing[:5]} (of {len(missing)})")
-    samples = [
-        build_sample(e, volumes[e.event_id], threshold=cfg.threshold, channels=channels,
-                     kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r)
-        for e in events
-    ]
+    samples = SequenceSet(
+        [e.event_id for e in events],
+        [e.label for e in events],
+        [build_sample(e, volumes[e.event_id], threshold=cfg.threshold, channels=channels,
+                      kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r) for e in events],
+    )
     balanced = balance(samples, cfg.seed)
     parts = split(balanced, cfg.fractions, cfg.seed)
     _write_run_log(cfg)
@@ -84,17 +85,10 @@ def _load_split(cfg, name):
     return dataio.load_sequences(_out(cfg, f"{name}.csv"))
 
 
-def _data_shape(samples, what):
-    shapes = {s.data.shape for s in samples}
-    if len(shapes) != 1:
-        raise ValidationError(f"{what} samples disagree on shape: {sorted(shapes)}")
-    return shapes.pop()
-
-
 def cmd_train(cfg, args):
     train_set = _load_split(cfg, "train")
     val_set = _load_split(cfg, "val")
-    steps, width = _data_shape(train_set + val_set, "training")
+    _, steps, width = train_set.data.shape
     model_config = standardize_inputs(cfg.model_config(steps, width), train_set)
     params, log = fit_model(train_set, val_set, model_config, cfg.train_config())
     _write_run_log(cfg)
@@ -139,7 +133,7 @@ def cmd_evaluate(cfg, args):
         return 0
     train_set = _load_split(cfg, "train")
     val_set = _load_split(cfg, "val")
-    steps, width = _data_shape(train_set + val_set + test_set, "dataset")
+    _, steps, width = train_set.data.shape
     for baseline in requested:
         if baseline == "knn":
             knn = KNNClassifier(k=cfg.knn_k).fit(train_set)
@@ -168,10 +162,10 @@ def cmd_predict(cfg, args):
     path = _out(cfg, "predictions.csv")
     with open(path, "w", newline="") as fh:
         fh.write("sample_id,label,p_tornado,p_hail,p_wind,predicted\n")
-        for s in samples:
-            probs = forward(s, params, model_config)
+        for sample_id, label, x in zip(samples.ids, samples.labels.tolist(), samples.data):
+            probs = forward(x, params, model_config)
             p0, p1, p2 = (float(p) for p in probs)
-            fh.write(f"{s.sample_id},{s.label},{p0!r},{p1!r},{p2!r},"
+            fh.write(f"{sample_id},{label},{p0!r},{p1!r},{p2!r},"
                      f"{predict_class(probs)}\n")
     print(f"wrote probabilities for {len(samples)} samples -> {path}")
     return 0

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import model_config_lines, parse_model_config
 from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
-from .features import EventRecord, FeatureSequence, SHSRVolume
+from .features import EventRecord, SequenceSet, SHSRVolume
 from .model import ModelConfig, expected_param_shapes
 from .tensor import Tensor
 
@@ -35,26 +35,24 @@ def _require_finite(block, path, first_line):
 
 
 def write_sequences(path, samples):
-    """Write FeatureSequences as CSV: sample_id,t,label,f_1..f_D.
+    """Write a SequenceSet as CSV: sample_id,t,label,f_1..f_D.
 
-    Rows for a sample are contiguous with t counting from 0; all
-    samples must share one channel count.
+    Rows for a sample are contiguous with t counting from 0.
     """
-    widths = {s.channels for s in samples}
-    if len(widths) > 1:
-        raise DimensionError(f"samples disagree on channel count: {sorted(widths)}")
-    channels = widths.pop() if widths else 0
+    channels = samples.data.shape[2]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "t", "label"] + [f"f_{j + 1}" for j in range(channels)])
-        for s in samples:
-            for t in range(s.steps):
-                # float() first: repr() of a numpy scalar is not a bare number.
-                writer.writerow([s.sample_id, t, s.label] + [repr(float(v)) for v in s.data[t]])
+        for sample_id, label, matrix in zip(samples.ids, samples.labels.tolist(), samples.data):
+            for t, row in enumerate(matrix.tolist()):
+                writer.writerow([sample_id, t, label] + [repr(v) for v in row])
 
 
 def load_sequences(path):
-    """Parse a sequence file back into FeatureSequences, in file order."""
+    """Parse a sequence file back into a SequenceSet, in file order.
+
+    Every sample must have the step count of the first one.
+    """
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -63,23 +61,14 @@ def load_sequences(path):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
-        samples = []
-        seen = set()
-        current_id = None
-        current_label = None
-        first_line = None
+        ids, labels, blocks, first_lines = [], [], [], {}
         rows = []
 
         def flush():
-            if current_id is not None:
+            if rows:
                 data = np.array(rows)
-                _require_finite(data, path, first_line)
-                try:
-                    samples.append(FeatureSequence(
-                        sample_id=current_id, label=current_label, data=data
-                    ))
-                except DataError as exc:
-                    raise type(exc)(f"{path}:{first_line}: {exc}") from None
+                _require_finite(data, path, first_lines[ids[-1]])
+                blocks.append(data)
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -91,22 +80,24 @@ def load_sequences(path):
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if sample_id != current_id:
-                if sample_id in seen:
+            if not ids or sample_id != ids[-1]:
+                if sample_id in first_lines:
                     raise ValidationError(f"{path}:{lineno}: rows for {sample_id} are not contiguous")
                 flush()
-                seen.add(sample_id)
-                current_id = sample_id
-                current_label = label
-                first_line = lineno
+                ids.append(sample_id)
+                labels.append(label)
+                first_lines[sample_id] = lineno
                 rows = []
             if t != len(rows):
                 raise ValidationError(f"{path}:{lineno}: expected t={len(rows)} for {sample_id}, got {t}")
-            if label != current_label:
+            if label != labels[-1]:
                 raise ValidationError(f"{path}:{lineno}: label changed within {sample_id}")
             rows.append(values)
         flush()
-    return samples
+    try:
+        return SequenceSet(ids, labels, blocks or np.empty((0, 0, channels)))
+    except DataError as exc:
+        raise type(exc)(f"{path}:{first_lines[ids[exc.sample]]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +141,8 @@ def load_checkpoint(path):
         if "=" not in line:
             raise ParseError(f"{path}:{pos + 1}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
+        if key in items:
+            raise ParseError(f"{path}:{pos + 1}: repeated checkpoint config key {key!r}")
         items[key] = (pos + 1, value)
         pos += 1
     config = parse_model_config(items, path)

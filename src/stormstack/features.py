@@ -6,7 +6,7 @@ six reflectivity statistics for one volume scan followed by the event's
 auxiliary scalar channels, so the channel count is 6 + len(aux).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,39 +85,66 @@ class EventRecord:
 
 
 @dataclass(frozen=True)
-class FeatureSequence:
-    """A (steps, channels) feature matrix with its sample id and label."""
+class SequenceSet:
+    """N samples stacked: ids, int64 labels (N,) and float64 data
+    (N, steps, channels).
 
-    sample_id: str
-    label: int
+    data may also be given as a sequence of (steps, channels) matrices;
+    every sample must share one shape and carry a label in {0, 1, 2}.
+    A DataError about one sample has that sample's index in `.sample`.
+    """
+
+    ids: tuple
+    labels: np.ndarray
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data, dtype=np.float64))
+        ids = tuple(str(i) for i in self.ids)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        shapes = [np.shape(m) for m in self.data]
+        if labels.shape != (len(ids),) or len(shapes) != len(ids):
+            raise DimensionError(
+                f"got {len(ids)} ids, {labels.size} labels and {len(shapes)} samples"
+            )
+        bad = np.flatnonzero((labels < 0) | (labels > 2))
+        if bad.size:
+            raise _sample_error(ValidationError, int(bad[0]),
+                                f"label must be 0, 1, or 2, got {labels[bad[0]]}")
+        for i, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise _sample_error(DimensionError, i, f"sample {ids[i]} has shape {shape},"
+                                    f" sample {ids[0]} has {shapes[0]}")
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 3:
+            raise DimensionError(f"data must be (samples, steps, channels), got {data.shape}")
+        if ids and 0 in data.shape[1:]:
+            raise _sample_error(ValidationError, 0, "feature sequence must be nonempty")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "data", data)
-        if self.label not in (0, 1, 2):
-            raise ValidationError(f"label must be 0, 1, or 2, got {self.label}")
-        if data.size == 0:
-            raise ValidationError("feature sequence must be nonempty")
 
-    @property
-    def steps(self):
-        return self.data.shape[0]
+    def __len__(self):
+        return len(self.ids)
 
-    @property
-    def channels(self):
-        return self.data.shape[1]
+    def take(self, index):
+        """The samples at the given positions, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        return SequenceSet(tuple(self.ids[i] for i in index), self.labels[index], self.data[index])
+
+
+def _sample_error(cls, index, message):
+    exc = cls(message)
+    exc.sample = index
+    return exc
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Train/validation/test partition of a sample list."""
+    """Train/validation/test partition of a SequenceSet."""
 
-    train: list
-    validation: list
-    test: list
-    seed: int
-    fractions: tuple
+    train: SequenceSet
+    validation: SequenceSet
+    test: SequenceSet
 
     def sizes(self):
         return (len(self.train), len(self.validation), len(self.test))
@@ -150,8 +177,8 @@ def build_sample(
     channels=AUX_CHANNELS,
     kalman_q: float = None,
     kalman_r: float = 1.0,
-) -> FeatureSequence:
-    """Assemble the (T, 6 + len(channels)) sequence for one event.
+):
+    """Assemble the (T, 6 + len(channels)) feature matrix for one event.
 
     Row t holds the statistics of volume t followed by the event's
     auxiliary channels in the configured order (auxiliary values repeat
@@ -182,16 +209,12 @@ def build_sample(
     if kalman_q is not None:
         stats = smooth_series(stats, kalman_q, kalman_r)
     aux = np.array([float(event.auxiliary[c]) for c in channels])
-    data = np.hstack([stats, np.tile(aux, (stats.shape[0], 1))])
-    return FeatureSequence(sample_id=event.event_id, label=event.label, data=data)
+    return np.hstack([stats, np.tile(aux, (stats.shape[0], 1))])
 
 
 def class_counts(samples):
     """Per-class sample counts as a {label: count} dict over 0, 1, 2."""
-    counts = {0: 0, 1: 0, 2: 0}
-    for s in samples:
-        counts[s.label] += 1
-    return counts
+    return dict(enumerate(np.bincount(samples.labels, minlength=3).tolist()))
 
 
 def balance(samples, seed: int):
@@ -207,15 +230,13 @@ def balance(samples, seed: int):
         raise UsageError(f"balance needs all three classes present, counts {counts}")
     target = min(counts.values())
     rng = SplitMix64(seed)
-    keep = set()
+    keep = []
     for label in (0, 1, 2):
-        positions = [i for i, s in enumerate(samples) if s.label == label]
+        positions = np.flatnonzero(samples.labels == label)
         if len(positions) > target:
-            chosen = rng.choose_indices(len(positions), target)
-            keep.update(positions[j] for j in chosen)
-        else:
-            keep.update(positions)
-    return [s for i, s in enumerate(samples) if i in keep]
+            positions = positions[rng.choose_indices(len(positions), target)]
+        keep.append(positions)
+    return samples.take(np.sort(np.concatenate(keep)))
 
 
 def split(samples, fractions, seed: int) -> DatasetSplit:
@@ -236,7 +257,7 @@ def split(samples, fractions, seed: int) -> DatasetSplit:
     rng = SplitMix64(seed)
     train, validation, test = [], [], []
     for label in (0, 1, 2):
-        members = [s for s in samples if s.label == label]
+        members = np.flatnonzero(samples.labels == label).tolist()
         rng.shuffle(members)
         n = len(members)
         n_train = int(fractions[0] * n)
@@ -244,4 +265,4 @@ def split(samples, fractions, seed: int) -> DatasetSplit:
         train.extend(members[:n_train])
         validation.extend(members[n_train:n_train + n_val])
         test.extend(members[n_train + n_val:])
-    return DatasetSplit(train=train, validation=validation, test=test, seed=seed, fractions=fractions)
+    return DatasetSplit(*(samples.take(part) for part in (train, validation, test)))

@@ -6,6 +6,7 @@ follows the 0/0 -> 0 convention so degenerate tallies stay defined.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,11 @@ def multiclass_accuracy(cm):
 
 
 def evaluate(classify, test_set, positive: int = 0, name: str = "model") -> MetricsReport:
-    """Score a classifier (any sample -> label callable) on a test set."""
+    """Score a classifier ((steps, channels) matrix -> label callable)
+    on a SequenceSet."""
     if len(test_set) == 0:
         raise UsageError("evaluate needs a nonempty test set")
-    preds = [classify(s) for s in test_set]
-    truth = [s.label for s in test_set]
-    cm = confusion(preds, truth)
+    cm = confusion([classify(x) for x in test_set.data], test_set.labels.tolist())
     precision, recall, f1, accuracy = metrics(cm, positive)
     per_class = [metrics(cm, c) for c in LABELS]
     return MetricsReport(
@@ -113,7 +113,7 @@ def evaluate(classify, test_set, positive: int = 0, name: str = "model") -> Metr
 def format_metrics_row(name: str, report) -> str:
     """`name precision recall f1 accuracy` with four decimals and
     single spaces."""
-    p, r, f1, a = report.row() if hasattr(report, "row") else tuple(report)
+    p, r, f1, a = report.row()
     return f"{name} {p:.4f} {r:.4f} {f1:.4f} {a:.4f}"
 
 
@@ -152,7 +152,7 @@ def write_report_csv(path, reports):
 
 
 def read_report_csv(path):
-    """Inverse of write_report_csv."""
+    """Inverse of write_report_csv; a non-finite score is a ParseError."""
     reports = []
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -164,18 +164,12 @@ def read_report_csv(path):
                 raise ParseError(f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(row)}")
             try:
                 cm = np.array([int(v) for v in row[9:]], dtype=np.int64).reshape(3, 3)
-                reports.append(MetricsReport(
-                    name=row[0],
-                    positive_class=int(row[1]),
-                    precision=float(row[2]),
-                    recall=float(row[3]),
-                    f1=float(row[4]),
-                    accuracy=float(row[5]),
-                    macro_precision=float(row[6]),
-                    macro_recall=float(row[7]),
-                    macro_f1=float(row[8]),
-                    confusion=cm,
-                ))
+                scores = [float(v) for v in row[2:9]]
+                positive_class = int(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            for field, value in zip(_CSV_FIELDS[2:9], scores):
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: non-finite {field} {value!r}")
+            reports.append(MetricsReport(row[0], positive_class, *scores, confusion=cm))
     return reports

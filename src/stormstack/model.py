@@ -144,9 +144,8 @@ def standardize_inputs(config: ModelConfig, samples) -> ModelConfig:
         return config
     if len(samples) == 0:
         raise UsageError("standardize_inputs needs a nonempty sample set")
-    stacked = np.stack([_sample_matrix(s) for s in samples])
-    mean = stacked.mean(axis=(0, 1))
-    std = stacked.std(axis=(0, 1))
+    mean = samples.data.mean(axis=(0, 1))
+    std = samples.data.std(axis=(0, 1))
     std[std == 0.0] = 1.0
     return replace(config, input_shift=tuple(mean), input_scale=tuple(std))
 
@@ -182,48 +181,24 @@ def expected_param_shapes(config: ModelConfig):
 
 
 def init_params(config: ModelConfig):
-    """Fresh parameter dict keyed by name.
+    """Fresh parameter dict keyed by name, in expected_param_shapes order.
 
     Weights are Glorot-uniform on [-a, a] with a = sqrt(6 / (fan_in +
     fan_out)), drawn from SplitMix64(config.seed) in initialization
-    order, row-major within each tensor.  Biases start at zero except
+    order, row-major within each tensor; a (kernel, in, out) conv weight
+    has fans kernel * in and kernel * out.  Biases start at zero except
     the LSTM forget-gate bias, which starts at one.
     """
     rng = SplitMix64(config.seed)
-
-    def glorot(shape, fan_in, fan_out):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        size = int(np.prod(shape))
-        vals = (rng.uniform_block(size) * 2.0 - 1.0) * limit
-        return Tensor(vals.reshape(shape))
-
     params = {}
-    for i, (filters, kernel) in enumerate(config.conv_layers):
-        d_in = _conv_in_channels(config, i)
-        params[f"conv{i}_w"] = glorot((kernel, d_in, filters), kernel * d_in, kernel * filters)
-        params[f"conv{i}_b"] = Tensor(np.zeros(filters))
-    d_rec = config.conv_layers[-1][0] if config.conv_layers else config.input_channels
-    hidden = config.lstm_hidden
-    if config.recurrent == "rnn":
-        params["rnn_w"] = glorot((hidden + d_rec, hidden), hidden + d_rec, hidden)
-        params["rnn_b"] = Tensor(np.zeros(hidden))
-    else:
-        directions = ("fwd", "bwd") if config.recurrent == "bilstm" else ("fwd",)
-        for d in directions:
-            for g in _GATES:
-                params[f"lstm_{d}_w{g}"] = glorot((hidden + d_rec, hidden), hidden + d_rec, hidden)
-            for g in _GATES:
-                start = np.ones(hidden) if g == "f" else np.zeros(hidden)
-                params[f"lstm_{d}_b{g}"] = Tensor(start)
-    width = config.feature_width
-    if config.attention:
-        for j in range(config.attention_heads):
-            for part in ("wq", "wk", "wv"):
-                params[f"attn_h{j}_{part}"] = glorot((width, config.attention_dim), width, config.attention_dim)
-        inner = config.attention_heads * config.attention_dim
-        params["attn_wo"] = glorot((inner, width), inner, width)
-    params["out_w"] = glorot((width, config.classes), width, config.classes)
-    params["out_b"] = Tensor(np.zeros(config.classes))
+    for name, shape in expected_param_shapes(config).items():
+        if len(shape) == 1:
+            params[name] = Tensor(np.ones(shape) if name.endswith("_bf") else np.zeros(shape))
+            continue
+        k = shape[0] if len(shape) == 3 else 1
+        limit = math.sqrt(6.0 / (k * shape[-2] + k * shape[-1]))
+        vals = (rng.uniform_block(int(np.prod(shape))) * 2.0 - 1.0) * limit
+        params[name] = Tensor(vals.reshape(shape))
     return params
 
 
@@ -330,8 +305,8 @@ def multi_head_attention(x, params, heads):
 def forward_batch(x, params, config: ModelConfig):
     """Forward pass on a (B, T, D) tensor; returns (B, 3) probabilities.
 
-    This is the graph-recording path the trainer differentiates; the
-    convenience wrappers below feed it single samples.
+    This is the graph-recording path the trainer differentiates;
+    forward below feeds it single samples.
     """
     if x.ndim != 3:
         raise DimensionError(f"forward_batch expects (batch, steps, channels), got {x.shape}")
@@ -361,21 +336,14 @@ def forward_batch(x, params, config: ModelConfig):
     return softmax(logits)
 
 
-def _sample_matrix(sample):
-    # FeatureSequence carries an ndarray under .data; note a bare
-    # ndarray also has .data, but that one is a memoryview
-    data = getattr(sample, "data", None)
-    if isinstance(data, np.ndarray):
-        return data
-    return np.asarray(sample, dtype=np.float64)
-
-
 def forward(sample, params, config: ModelConfig):
-    """Class probabilities (3,) for one sample (FeatureSequence or
-    (T, D) array)."""
-    data = _sample_matrix(sample)
-    if data.ndim != 2:
-        raise DimensionError(f"forward expects a (steps, channels) sample, got {data.shape}")
+    """Class probabilities (3,) for one (steps, channels) sample."""
+    data = np.asarray(sample, dtype=np.float64)
+    if data.shape != (config.steps, config.input_channels):
+        raise DimensionError(
+            f"sample has shape {data.shape}, model expects"
+            f" ({config.steps}, {config.input_channels})"
+        )
     probs = forward_batch(Tensor(data[np.newaxis]), params, config)
     return probs.array[0].copy()
 
@@ -388,11 +356,6 @@ def predict_class(probs):
     if not np.isfinite(probs).all():
         raise UsageError("predict_class got non-finite probabilities")
     return int(np.argmax(probs))
-
-
-def predict(sample, params, config: ModelConfig):
-    """Predicted label for one sample."""
-    return predict_class(forward(sample, params, config))
 
 
 class KNNClassifier:
@@ -419,22 +382,19 @@ class KNNClassifier:
             raise UsageError("KNNClassifier.fit needs a nonempty training set")
         if self.k > len(samples):
             raise UsageError(f"k={self.k} exceeds the {len(samples)} training samples")
-        shapes = {s.data.shape for s in samples}
-        if len(shapes) != 1:
-            raise DimensionError(f"training samples disagree on shape: {sorted(shapes)}")
-        x = np.stack([s.data.ravel() for s in samples])
+        x = samples.data.reshape(len(samples), -1)
         self._mean = x.mean(axis=0)
         std = x.std(axis=0)
         std[std == 0.0] = 1.0
         self._scale = std
         self._x = (x - self._mean) / self._scale
-        self._labels = np.array([s.label for s in samples], dtype=np.int64)
+        self._labels = samples.labels
         return self
 
     def predict(self, sample):
         if self._x is None:
             raise UsageError("KNNClassifier.predict called before fit")
-        flat = _sample_matrix(sample).ravel()
+        flat = np.asarray(sample, dtype=np.float64).ravel()
         if flat.shape[0] != self._x.shape[1]:
             raise DimensionError(
                 f"query has {flat.shape[0]} features, training set has {self._x.shape[1]}"

@@ -86,17 +86,6 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     return updated
 
 
-def _stack_dataset(samples, what):
-    if len(samples) == 0:
-        raise UsageError(f"train needs a nonempty {what} set")
-    shapes = {s.data.shape for s in samples}
-    if len(shapes) != 1:
-        raise DimensionError(f"{what} samples disagree on shape: {sorted(shapes)}")
-    x = np.stack([s.data for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
-
-
 def _dataset_loss_acc(x, y, params, config):
     probs = forward_batch(Tensor(x), params, config)
     acc = float((probs.array.argmax(axis=1) == y).mean())
@@ -114,17 +103,15 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
     has not improved for `patience` consecutive epochs.  The log holds
     one (epoch, train_loss, val_loss, val_accuracy) row per epoch.
     """
-    x_train, y_train = _stack_dataset(train_set, "training")
-    x_val, y_val = _stack_dataset(val_set, "validation")
-    if x_train.shape[1:] != x_val.shape[1:]:
-        raise DimensionError(
-            f"training shape {x_train.shape[1:]} does not match validation shape {x_val.shape[1:]}"
-        )
-    if (x_train.shape[1], x_train.shape[2]) != (model_config.steps, model_config.input_channels):
-        raise DimensionError(
-            f"data shape {x_train.shape[1:]} does not match model config"
-            f" ({model_config.steps}, {model_config.input_channels})"
-        )
+    for part, what in ((train_set, "training"), (val_set, "validation")):
+        if len(part) == 0:
+            raise UsageError(f"train needs a nonempty {what} set")
+        if part.data.shape[1:] != (model_config.steps, model_config.input_channels):
+            raise DimensionError(
+                f"{what} data shape {part.data.shape[1:]} does not match model config"
+                f" ({model_config.steps}, {model_config.input_channels})"
+            )
+    x_train, y_train = train_set.data, train_set.labels
     params = init_params(model_config)
     best_params = params
     best_val = np.inf
@@ -149,7 +136,7 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
             grads = {name: p.grad for name, p in params.items()}
             params = adam_step(params, grads, state, train_config)
         train_loss = total / n
-        val_loss, val_acc = _dataset_loss_acc(x_val, y_val, params, model_config)
+        val_loss, val_acc = _dataset_loss_acc(val_set.data, val_set.labels, params, model_config)
         log.append((epoch, train_loss, val_loss, val_acc))
         if val_loss < best_val:
             best_val = val_loss

@@ -15,8 +15,8 @@ import numpy as np
 from stormstack.config import RunConfig
 from stormstack import cli
 from stormstack.features import (
-    FeatureSequence,
     SHSRVolume,
+    SequenceSet,
     balance,
     build_sample,
     class_counts,
@@ -298,11 +298,12 @@ def test_end_to_end_learnability():
     start = time.monotonic()
     run = RunConfig()  # 500 per class, seed 42, the shipped architecture
     events, volumes = generate_synthetic(run.synthetic_config())
-    samples = [build_sample(e, v, threshold=run.threshold,
-                            kalman_q=run.kalman_q, kalman_r=run.kalman_r)
-               for e, v in zip(events, volumes)]
+    samples = SequenceSet([e.event_id for e in events], [e.label for e in events],
+                          [build_sample(e, v, threshold=run.threshold,
+                                        kalman_q=run.kalman_q, kalman_r=run.kalman_r)
+                           for e, v in zip(events, volumes)])
     parts = split(balance(samples, run.seed), run.fractions, run.seed)
-    steps, width = parts.train[0].data.shape
+    _, steps, width = parts.train.data.shape
     model_config = standardize_inputs(run.model_config(steps, width), parts.train)
     params, _ = train(parts.train, parts.validation, model_config, run.train_config())
 
@@ -352,10 +353,9 @@ def test_pipeline_determinism(tmp_path):
 
 def test_balance_and_split_contract():
     counts = {0: 1364, 1: 5000, 2: 8000}
-    samples = []
-    for label, n in counts.items():
-        for i in range(n):
-            samples.append(FeatureSequence(f"c{label}_{i}", label, np.zeros((1, 1))))
+    labels = [label for label, n in counts.items() for _ in range(n)]
+    ids = [f"c{label}_{i}" for label, n in counts.items() for i in range(n)]
+    samples = SequenceSet(ids, labels, np.zeros((len(labels), 1, 1)))
     balanced = balance(samples, seed=42)
     balanced_ok = (len(balanced) == 4092
                    and class_counts(balanced) == {0: 1364, 1: 1364, 2: 1364})

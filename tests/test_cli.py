@@ -234,6 +234,18 @@ def test_non_finite_input_is_data_error(pipeline, tmp_path, capsys):
     _one_data_error(capsys, f"{bad}:4: non-finite value nan")
 
 
+def test_ragged_input_is_data_error(pipeline, tmp_path, capsys):
+    # drop the last step of the second sample: lines 8-12 hold t = 0..4
+    _, out = pipeline
+    lines = (out / "test.csv").read_text().split("\n")
+    second = lines[7].split(",")[0]
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines[:12] + lines[13:]))
+    assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--input", str(bad),
+                     "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{bad}:8: sample {second} has shape (5, 16)")
+
+
 def test_resolve_layers_defaults_file_then_flags(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("seed = 9\ndata.sigma = 2.5  # inline comment\n\n")

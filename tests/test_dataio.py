@@ -21,7 +21,7 @@ from stormstack.errors import (
     UsageError,
     ValidationError,
 )
-from stormstack.features import AUX_CHANNELS, EventRecord, FeatureSequence, SHSRVolume
+from stormstack.features import AUX_CHANNELS, EventRecord, SequenceSet, SHSRVolume
 from stormstack.model import ModelConfig, forward, init_params
 from stormstack.tensor import Tensor
 
@@ -29,27 +29,23 @@ TINY = ModelConfig(steps=4, input_channels=2, conv_layers=((3, 2),),
                    lstm_hidden=2, attention_heads=1, attention_dim=4, seed=3)
 
 
-def _sample(i, label, data):
-    return FeatureSequence(sample_id=f"s{i}", label=label, data=np.asarray(data, dtype=np.float64))
-
-
 def test_sequences_empty_round_trip(tmp_path):
     path = tmp_path / "seq.csv"
-    write_sequences(path, [])
+    write_sequences(path, SequenceSet((), (), np.empty((0, 0, 0))))
     assert path.read_text() == "sample_id,t,label\n"
-    assert load_sequences(path) == []
+    assert len(load_sequences(path)) == 0
 
 
 def test_sequences_single_sample(tmp_path):
     path = tmp_path / "seq.csv"
-    write_sequences(path, [_sample(0, 2, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])])
+    write_sequences(path, SequenceSet(["s0"], [2], [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]]))
     text = path.read_text()
     assert text.splitlines()[0] == "sample_id,t,label,f_1,f_2,f_3"
     got = load_sequences(path)
     assert len(got) == 1
-    assert got[0].sample_id == "s0"
-    assert got[0].label == 2
-    assert np.array_equal(got[0].data, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert got.ids == ("s0",)
+    assert got.labels[0] == 2
+    assert np.array_equal(got.data[0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
 
 def test_sequences_round_trip_is_exact(tmp_path):
@@ -57,14 +53,13 @@ def test_sequences_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(91)
     values = rng.standard_normal((10, 25, 4))
     values *= 10.0 ** rng.integers(-30, 31, size=values.shape)
-    samples = [_sample(i, i % 3, values[i]) for i in range(10)]
+    samples = SequenceSet([f"s{i}" for i in range(10)], [i % 3 for i in range(10)], values)
     path = tmp_path / "seq.csv"
     write_sequences(path, samples)
     got = load_sequences(path)
-    assert [s.sample_id for s in got] == [s.sample_id for s in samples]
-    for a, b in zip(samples, got):
-        assert a.label == b.label
-        assert np.array_equal(a.data, b.data)
+    assert got.ids == samples.ids
+    assert np.array_equal(got.labels, samples.labels)
+    assert np.array_equal(got.data, samples.data)
 
 
 def test_sequences_missing_file(tmp_path):
@@ -126,9 +121,20 @@ def test_sequences_structural_checks(tmp_path):
 
 
 def test_sequences_width_mismatch():
-    mixed = [_sample(0, 0, [[1.0, 2.0]]), _sample(1, 0, [[1.0]])]
-    with pytest.raises(DimensionError):
-        write_sequences("/dev/null", mixed)
+    # a set cannot hold samples of different widths, so writers never see one
+    with pytest.raises(DimensionError) as err:
+        SequenceSet(["s0", "s1"], [0, 0], [[[1.0, 2.0]], [[1.0]]])
+    assert "sample s1 has shape (1, 1), sample s0 has (1, 2)" in str(err.value)
+    assert err.value.sample == 1
+
+
+def test_sequences_ragged_file_is_a_dimension_error(tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_text("sample_id,t,label,f_1\na,0,1,1.0\na,1,1,1.0\nb,0,2,1.0\nb,1,2,1.0\n"
+                    "c,0,0,1.0\n")
+    with pytest.raises(DimensionError) as err:
+        load_sequences(path)
+    assert f"{path}:6: sample c has shape (1, 1), sample a has (2, 1)" in str(err.value)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -277,6 +283,13 @@ def test_checkpoint_rejects_config_tampering(tmp_path):
     with pytest.raises(ParseError) as err:
         load_checkpoint(path)
     assert "seed" in str(err.value)
+    # a repeated key is refused at its second line, whichever value comes first
+    lines = text.split("\n")
+    second = lines.index("seed=3") + 2
+    path.write_text(text.replace("seed=3\n", "seed=9\nseed=3\n"))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert f"{path}:{second}: repeated checkpoint config key 'seed'" in str(err.value)
 
 
 def test_checkpoint_rejects_non_finite(tmp_path):

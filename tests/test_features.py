@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from stormstack.errors import UsageError, ValidationError
+from stormstack.errors import DimensionError, UsageError, ValidationError
 from stormstack.features import (
     AUX_CHANNELS,
     DEFAULT_THRESHOLD,
     MISSING,
     EventRecord,
-    FeatureSequence,
     SHSRVolume,
+    SequenceSet,
     balance,
     build_sample,
     class_counts,
@@ -111,16 +111,14 @@ def test_build_sample_shape_and_order():
     vols = [_volume([0.0, 0.0, 50.0, 10.0], timestamp=40),
             _volume([5.0, 5.0, 5.0, 5.0], timestamp=70)]
     sample = build_sample(_event(label=1), vols)
-    assert sample.label == 1
-    assert sample.sample_id == "ev0"
-    assert sample.data.shape == (2, 6 + len(AUX_CHANNELS))
-    assert tuple(sample.data[0, :6]) == (0.0, 50.0, 15.0, 425.0, 2.0, 1.0)
-    assert tuple(sample.data[1, :6]) == (5.0, 5.0, 5.0, 0.0, 4.0, 0.0)
+    assert sample.shape == (2, 6 + len(AUX_CHANNELS))
+    assert tuple(sample[0, :6]) == (0.0, 50.0, 15.0, 425.0, 2.0, 1.0)
+    assert tuple(sample[1, :6]) == (5.0, 5.0, 5.0, 0.0, 4.0, 0.0)
     #  aux columns repeat down the rows in AUX_CHANNELS order
-    assert np.all(sample.data[:, 6:] == 1.0)
+    assert np.all(sample[:, 6:] == 1.0)
     event = _event(aux={c: float(i) for i, c in enumerate(AUX_CHANNELS)})
     sample = build_sample(event, vols)
-    assert list(sample.data[0, 6:]) == [float(i) for i in range(len(AUX_CHANNELS))]
+    assert list(sample[0, 6:]) == [float(i) for i in range(len(AUX_CHANNELS))]
 
 
 def test_build_sample_window_edges():
@@ -158,50 +156,75 @@ def test_build_sample_smooths_only_stats():
     vols = [_volume(rng.uniform(0, 60, size=8), timestamp=40 + t) for t in range(12)]
     raw = build_sample(_event(), vols)
     smoothed = build_sample(_event(), vols, kalman_q=0.01, kalman_r=1.0)
-    want = smooth_series(raw.data[:, :6], 0.01, 1.0)
-    assert np.array_equal(smoothed.data[:, :6], want)
-    assert np.array_equal(smoothed.data[:, 6:], raw.data[:, 6:])
+    want = smooth_series(raw[:, :6], 0.01, 1.0)
+    assert np.array_equal(smoothed[:, :6], want)
+    assert np.array_equal(smoothed[:, 6:], raw[:, 6:])
     # identical scans are a fixed point of the smoother
     same = [_volume([3.0, 9.0], timestamp=40 + t) for t in range(5)]
-    assert np.array_equal(build_sample(_event(), same, kalman_q=0.5).data,
-                          build_sample(_event(), same).data)
+    assert np.array_equal(build_sample(_event(), same, kalman_q=0.5),
+                          build_sample(_event(), same))
 
 
-def _mini(i, label):
-    return FeatureSequence(sample_id=f"s{i}", label=label, data=[[float(i), 0.0]])
+def _mini(labels):
+    # one single-step sample s{i} per label
+    return SequenceSet([f"s{i}" for i in range(len(labels))], labels,
+                       [[[float(i), 0.0]] for i in range(len(labels))])
 
 
 def _ids(samples):
-    return [s.sample_id for s in samples]
+    return list(samples.ids)
+
+
+def test_sequence_set_stacks_and_takes():
+    samples = _mini([2, 0, 1])
+    assert len(samples) == 3
+    assert samples.ids == ("s0", "s1", "s2")
+    assert samples.labels.dtype == np.int64 and samples.data.shape == (3, 1, 2)
+    picked = samples.take([2, 0])
+    assert picked.ids == ("s2", "s0")
+    assert picked.labels.tolist() == [1, 2]
+    assert picked.data[:, 0, 0].tolist() == [2.0, 0.0]
+    assert len(samples.take([])) == 0 and samples.take([]).data.shape == (0, 1, 2)
+
+
+def test_sequence_set_checks_labels_and_lengths():
+    with pytest.raises(ValidationError) as err:
+        _mini([0, 3])
+    assert "label must be 0, 1, or 2, got 3" in str(err.value)
+    assert err.value.sample == 1
+    with pytest.raises(DimensionError):
+        SequenceSet(["a", "b"], [0], np.zeros((2, 1, 1)))
+    with pytest.raises(DimensionError):
+        SequenceSet(["a"], [0], np.zeros((1, 2)))
+    with pytest.raises(ValidationError):
+        SequenceSet(["a"], [0], np.zeros((1, 1, 0)))
 
 
 def test_class_counts():
-    samples = [_mini(i, l) for i, l in enumerate([0, 1, 1, 2, 2, 2])]
+    samples = _mini([0, 1, 1, 2, 2, 2])
     assert class_counts(samples) == {0: 1, 1: 2, 2: 3}
 
 
 def test_balance_small_fixture():
     labels = [0, 1, 1, 2, 1, 2, 0, 1, 2, 1, 0, 2]   # 3 / 5 / 4
-    samples = [_mini(i, l) for i, l in enumerate(labels)]
+    samples = _mini(labels)
     out = balance(samples, seed=0)
     counts = class_counts(out)
     assert counts == {0: 3, 1: 3, 2: 3}
     # the minority class survives untouched, survivors keep input order
-    assert [s.sample_id for s in out if s.label == 0] == ["s0", "s6", "s10"]
-    positions = {s.sample_id: i for i, s in enumerate(samples)}
-    assert [positions[s.sample_id] for s in out] == sorted(positions[s.sample_id] for s in out)
+    assert [i for i, l in zip(out.ids, out.labels) if l == 0] == ["s0", "s6", "s10"]
+    positions = {s: i for i, s in enumerate(samples.ids)}
+    assert [positions[s] for s in out.ids] == sorted(positions[s] for s in out.ids)
 
 
 def test_balance_noop_when_already_balanced():
-    samples = [_mini(i, i % 3) for i in range(9)]
+    samples = _mini([i % 3 for i in range(9)])
     out = balance(samples, seed=123)
     assert _ids(out) == _ids(samples)
 
 
 def test_balance_large_counts():
-    samples = ([_mini(i, 0) for i in range(1364)]
-               + [_mini(2000 + i, 1) for i in range(5000)]
-               + [_mini(8000 + i, 2) for i in range(8000)])
+    samples = _mini([0] * 1364 + [1] * 5000 + [2] * 8000)
     out = balance(samples, seed=42)
     assert len(out) == 3 * 1364
     assert class_counts(out) == {0: 1364, 1: 1364, 2: 1364}
@@ -211,14 +234,14 @@ def test_balance_large_counts():
 
 
 def test_balance_requires_all_classes():
-    samples = [_mini(i, l) for i, l in enumerate([0, 0, 1])]
+    samples = _mini([0, 0, 1])
     with pytest.raises(UsageError) as err:
         balance(samples, seed=0)
     assert "counts" in str(err.value)
 
 
 def test_split_small_fixture():
-    samples = [_mini(i, i % 3) for i in range(30)]   # 10 per class
+    samples = _mini([i % 3 for i in range(30)])   # 10 per class
     parts = split(samples, (0.8, 0.1, 0.1), seed=0)
     assert parts.sizes() == (24, 3, 3)
     for part in (parts.train, parts.validation, parts.test):
@@ -227,7 +250,7 @@ def test_split_small_fixture():
 
 
 def test_split_large_fixture():
-    samples = [_mini(i, i % 3) for i in range(3 * 1364)]
+    samples = _mini([i % 3 for i in range(3 * 1364)])
     parts = split(samples, (0.8, 0.1, 0.1), seed=42)
     # floor(0.8 * 1364) = 1091 and floor(0.1 * 1364) = 136 per class;
     # the leftover 137 land in test
@@ -235,7 +258,7 @@ def test_split_large_fixture():
 
 
 def test_split_is_a_disjoint_partition():
-    samples = [_mini(i, i % 3) for i in range(47)]
+    samples = _mini([i % 3 for i in range(47)])
     parts = split(samples, (0.6, 0.2, 0.2), seed=9)
     ids = _ids(parts.train) + _ids(parts.validation) + _ids(parts.test)
     assert len(ids) == len(samples)
@@ -243,7 +266,7 @@ def test_split_is_a_disjoint_partition():
 
 
 def test_split_determinism():
-    samples = [_mini(i, i % 3) for i in range(60)]
+    samples = _mini([i % 3 for i in range(60)])
     a = split(samples, (0.8, 0.1, 0.1), seed=7)
     b = split(samples, (0.8, 0.1, 0.1), seed=7)
     assert _ids(a.train) == _ids(b.train)
@@ -255,21 +278,20 @@ def test_split_determinism():
 
 def test_split_assignment_is_positional():
     # renaming ids must not move any position between parts
-    samples = [_mini(i, i % 3) for i in range(30)]
-    renamed = [FeatureSequence(sample_id=f"x{i}", label=s.label, data=s.data)
-               for i, s in enumerate(samples)]
+    samples = _mini([i % 3 for i in range(30)])
+    renamed = SequenceSet([f"x{i}" for i in range(30)], samples.labels, samples.data)
     a = split(samples, (0.8, 0.1, 0.1), seed=4)
     b = split(renamed, (0.8, 0.1, 0.1), seed=4)
-    pos_a = {s.sample_id: i for i, s in enumerate(samples)}
-    pos_b = {s.sample_id: i for i, s in enumerate(renamed)}
-    assert [pos_a[s.sample_id] for s in a.train] == [pos_b[s.sample_id] for s in b.train]
-    assert [pos_a[s.sample_id] for s in a.test] == [pos_b[s.sample_id] for s in b.test]
+    pos_a = {s: i for i, s in enumerate(samples.ids)}
+    pos_b = {s: i for i, s in enumerate(renamed.ids)}
+    assert [pos_a[s] for s in a.train.ids] == [pos_b[s] for s in b.train.ids]
+    assert [pos_a[s] for s in a.test.ids] == [pos_b[s] for s in b.test.ids]
 
 
 def test_split_validation():
-    samples = [_mini(i, i % 3) for i in range(6)]
+    samples = _mini([i % 3 for i in range(6)])
     with pytest.raises(UsageError):
-        split([], (0.8, 0.1, 0.1), seed=0)
+        split(samples.take([]), (0.8, 0.1, 0.1), seed=0)
     with pytest.raises(UsageError):
         split(samples, (0.8, 0.2), seed=0)
     with pytest.raises(UsageError):

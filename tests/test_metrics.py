@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stormstack.errors import ParseError, UsageError, ValidationError
-from stormstack.features import FeatureSequence
+from stormstack.features import SequenceSet
 from stormstack.metrics import (
     MetricsReport,
     confusion,
@@ -115,13 +115,14 @@ def _report(name="model", **overrides):
 
 def test_format_metrics_row():
     assert format_metrics_row("KNN", _report()) == "KNN 0.2826 0.0461 0.0792 0.8247"
-    assert format_metrics_row("m", (1.0, 0.5, 2.0 / 3.0, 0.75)) == "m 1.0000 0.5000 0.6667 0.7500"
+    other = _report(precision=1.0, recall=0.5, f1=2.0 / 3.0, accuracy=0.75)
+    assert format_metrics_row("m", other) == "m 1.0000 0.5000 0.6667 0.7500"
 
 
 def test_evaluate():
-    samples = [FeatureSequence(sample_id=f"e{i}", label=i % 3, data=[[float(i % 3)]])
-               for i in range(9)]
-    report = evaluate(lambda s: int(s.data[0, 0]), samples, positive=1, name="oracle")
+    samples = SequenceSet([f"e{i}" for i in range(9)], [i % 3 for i in range(9)],
+                          [[[float(i % 3)]] for i in range(9)])
+    report = evaluate(lambda x: int(x[0, 0]), samples, positive=1, name="oracle")
     assert report.name == "oracle"
     assert report.positive_class == 1
     assert report.row() == (1.0, 1.0, 1.0, 1.0)
@@ -131,7 +132,7 @@ def test_evaluate():
     assert constant.recall == 1.0
     assert abs(constant.precision - 1.0 / 3.0) < 1e-12
     with pytest.raises(UsageError):
-        evaluate(lambda s: 0, [])
+        evaluate(lambda s: 0, samples.take([]))
 
 
 def test_render_table():
@@ -177,3 +178,9 @@ def test_report_csv_rejects_tampering(tmp_path):
     truncated.write_text(lines[0] + "\n" + ",".join(lines[1].split(",")[:5]) + "\n")
     with pytest.raises(ParseError):
         read_report_csv(truncated)
+    fields = lines[1].split(",")
+    for column, text in ((2, "nan"), (5, "inf"), (8, "-inf")):
+        bad.write_text(lines[0] + "\n" + ",".join(fields[:column] + [text] + fields[column + 1:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_report_csv(bad)
+        assert f"{bad}:2: non-finite {lines[0].split(',')[column]}" in str(err.value)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stormstack.errors import DimensionError, UsageError, ValidationError
-from stormstack.features import FeatureSequence
+from stormstack.features import SequenceSet
 from stormstack.model import (
     KNNClassifier,
     ModelConfig,
@@ -19,7 +19,6 @@ from stormstack.model import (
     lstm_cell,
     lstm_forward,
     multi_head_attention,
-    predict,
     predict_class,
     rnn_forward,
     scaled_dot_attention,
@@ -274,13 +273,17 @@ def test_forward_is_a_distribution():
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
-def test_forward_accepts_feature_sequences():
+def test_forward_checks_sample_shape():
     cfg = _tiny_config()
     params = init_params(cfg)
     data = np.random.default_rng(12).standard_normal((6, 3))
-    sample = FeatureSequence(sample_id="s", label=1, data=data)
-    assert np.array_equal(forward(sample, params, cfg), forward(data, params, cfg))
-    assert predict(sample, params, cfg) == predict_class(forward(data, params, cfg))
+    sample = SequenceSet(["s"], [1], [data])
+    assert np.array_equal(forward(sample.data[0], params, cfg), forward(data, params, cfg))
+    # the config pins (steps, channels); "valid" convs would run on 7 steps
+    for shape in ((7, 3), (6, 4), (1, 6, 3)):
+        with pytest.raises(DimensionError) as err:
+            forward(np.zeros(shape), params, cfg)
+        assert "model expects (6, 3)" in str(err.value)
 
 
 def test_forward_batch_validation():
@@ -310,17 +313,17 @@ def test_forward_variants():
 def test_standardize_inputs():
     cfg = _tiny_config()
     rng = np.random.default_rng(13)
-    samples = [FeatureSequence(sample_id=f"s{i}", label=i % 3,
-                               data=rng.standard_normal((6, 3)) * [1.0, 100.0, 0.01] + [0.0, 50.0, 0.0])
-               for i in range(8)]
+    samples = SequenceSet([f"s{i}" for i in range(8)], [i % 3 for i in range(8)],
+                          [rng.standard_normal((6, 3)) * [1.0, 100.0, 0.01] + [0.0, 50.0, 0.0]
+                           for i in range(8)])
     fitted = standardize_inputs(cfg, samples)
-    stacked = np.concatenate([s.data for s in samples])
+    stacked = np.concatenate(samples.data)
     assert np.allclose(fitted.input_shift, stacked.mean(axis=0))
     assert np.allclose(fitted.input_scale, stacked.std(axis=0))
     # already-standardized configs pass through untouched
     assert standardize_inputs(fitted, samples) is fitted
     # constant channels get unit scale instead of zero
-    const = [FeatureSequence(sample_id="c", label=0, data=np.ones((6, 3)))]
+    const = SequenceSet(["c"], [0], np.ones((1, 6, 3)))
     assert standardize_inputs(cfg, const).input_scale == (1.0, 1.0, 1.0)
 
 
@@ -381,44 +384,45 @@ def test_predict_class():
     assert predict_class(e / e.sum()) == int(np.argmax(logits))
 
 
-def _knn_sample(i, label, point):
-    return FeatureSequence(sample_id=f"k{i}", label=label, data=[list(point)])
+def _knn_set(labels, points):
+    # one single-step sample per (label, point)
+    return SequenceSet([f"k{i}" for i in range(len(labels))], labels,
+                       [[list(point)] for point in points])
 
 
 def test_knn_exact_match_and_ties():
-    train = [_knn_sample(0, 0, (0.0, 0.0)), _knn_sample(1, 1, (10.0, 0.0)),
-             _knn_sample(2, 2, (0.0, 10.0))]
+    train = _knn_set([0, 1, 2], [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
     knn = KNNClassifier(k=1).fit(train)
-    assert knn.predict(_knn_sample(9, 0, (0.0, 0.0))) == 0
-    assert knn.predict(_knn_sample(9, 0, (10.0, 0.1))) == 1
+    assert knn.predict([(0.0, 0.0)]) == 0
+    assert knn.predict([(10.0, 0.1)]) == 1
     # equidistant neighbours with one vote each: the smallest label wins
-    assert KNNClassifier(k=3).fit(train).predict(_knn_sample(9, 0, (3.3, 3.3))) == 0
+    assert KNNClassifier(k=3).fit(train).predict([(3.3, 3.3)]) == 0
 
 
 def test_knn_validation():
-    train = [_knn_sample(i, i % 3, (float(i), 0.0)) for i in range(4)]
+    train = _knn_set([i % 3 for i in range(4)], [(float(i), 0.0) for i in range(4)])
     with pytest.raises(UsageError):
         KNNClassifier(k=0)
     with pytest.raises(UsageError):
         KNNClassifier(k=5).fit(train)
     with pytest.raises(UsageError):
-        KNNClassifier(k=1).predict(train[0])
+        KNNClassifier(k=1).predict(train.data[0])
     knn = KNNClassifier(k=1).fit(train)
     with pytest.raises(DimensionError):
-        knn.predict(_knn_sample(9, 0, (1.0, 2.0, 3.0)))
+        knn.predict([(1.0, 2.0, 3.0)])
     with pytest.raises(UsageError):
-        KNNClassifier(k=1).fit([])
+        KNNClassifier(k=1).fit(train.take([]))
 
 
 def test_knn_separated_clusters():
     rng = np.random.default_rng(17)
     centers = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 10.0)}
-    train = [_knn_sample(i, label, rng.normal(centers[label], 0.1))
-             for i, label in enumerate(list(range(3)) * 30)]
-    queries = [_knn_sample(900 + i, label, rng.normal(centers[label], 0.1))
-               for i, label in enumerate(list(range(3)) * 10)]
+    labels = list(range(3)) * 30
+    train = _knn_set(labels, [rng.normal(centers[label], 0.1) for label in labels])
+    labels = list(range(3)) * 10
+    queries = _knn_set(labels, [rng.normal(centers[label], 0.1) for label in labels])
     knn = KNNClassifier(k=3).fit(train)
-    assert all(knn.predict(q) == q.label for q in queries)
+    assert all(knn.predict(x) == label for x, label in zip(queries.data, queries.labels))
 
 
 def test_knn_is_scale_invariant_per_column():
@@ -427,8 +431,8 @@ def test_knn_is_scale_invariant_per_column():
     rng = np.random.default_rng(18)
     points = rng.standard_normal((30, 2))
     labels = [int(v) for v in rng.integers(0, 3, size=30)]
-    train = [_knn_sample(i, l, p) for i, (l, p) in enumerate(zip(labels, points))]
-    scaled = [_knn_sample(i, l, (p[0] * 1000.0, p[1])) for i, (l, p) in enumerate(zip(labels, points))]
+    train = _knn_set(labels, points)
+    scaled = _knn_set(labels, [(p[0] * 1000.0, p[1]) for p in points])
     plain = KNNClassifier(k=5).fit(train)
     inflated = KNNClassifier(k=5).fit(scaled)
     for q in rng.standard_normal((20, 2)):

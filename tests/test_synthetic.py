@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stormstack.errors import ValidationError
-from stormstack.features import AUX_CHANNELS, build_sample, split
+from stormstack.features import AUX_CHANNELS, SequenceSet, build_sample, split
 from stormstack.model import KNNClassifier
 from stormstack.rng import SplitMix64, subseed
 from stormstack.synthetic import SyntheticConfig, generate_synthetic
@@ -171,11 +171,13 @@ def test_wind_speed_means_order_by_class():
 def test_knn_learns_the_generated_classes():
     cfg = SyntheticConfig(samples_per_class=120, steps=12, seed=3)
     events, volumes = generate_synthetic(cfg)
-    samples = [build_sample(e, scans) for e, scans in zip(events, volumes)]
+    samples = SequenceSet([e.event_id for e in events], [e.label for e in events],
+                          [build_sample(e, scans) for e, scans in zip(events, volumes)])
     parts = split(samples, (0.8, 0.1, 0.1), seed=3)
     knn = KNNClassifier(k=5).fit(parts.train)
-    held_out = list(parts.validation) + list(parts.test)
-    acc = np.mean([knn.predict(s) == s.label for s in held_out])
+    held_out = [(x, label) for part in (parts.validation, parts.test)
+                for x, label in zip(part.data, part.labels)]
+    acc = np.mean([knn.predict(x) == label for x, label in held_out])
     assert acc > 0.85
 
 
@@ -184,10 +186,8 @@ def test_samples_feed_the_feature_builder():
     events, volumes = generate_synthetic(cfg)
     for event, scans in zip(events, volumes):
         sample = build_sample(event, scans)
-        assert sample.sample_id == event.event_id
-        assert sample.label == event.label
-        assert sample.data.shape == (7, 6 + len(AUX_CHANNELS))
-        assert np.all(np.isfinite(sample.data))
+        assert sample.shape == (7, 6 + len(AUX_CHANNELS))
+        assert np.all(np.isfinite(sample))
 
 
 def test_config_validation():

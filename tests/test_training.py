@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stormstack.errors import DimensionError, UsageError, ValidationError
-from stormstack.features import FeatureSequence
+from stormstack.features import SequenceSet
 from stormstack.model import ModelConfig, forward_batch, init_params
 from stormstack.tensor import Tensor
 from stormstack.training import AdamState, TrainConfig, adam_step, train
@@ -76,13 +76,12 @@ def test_adam_missing_or_misshapen_grads():
 def _toy_dataset(count, seed, flip=False):
     # three well-separated channel profiles, one per class
     rng = np.random.default_rng(seed)
-    samples = []
+    data, shown = [], []
     for i in range(count):
         label = i % 3
-        data = rng.standard_normal((6, 3)) * 0.3 + label * 2.0
-        shown = (label + 1) % 3 if flip else label
-        samples.append(FeatureSequence(sample_id=f"t{seed}_{i}", label=shown, data=data))
-    return samples
+        data.append(rng.standard_normal((6, 3)) * 0.3 + label * 2.0)
+        shown.append((label + 1) % 3 if flip else label)
+    return SequenceSet([f"t{seed}_{i}" for i in range(count)], shown, data)
 
 
 def test_train_zero_epochs_returns_initialization():
@@ -136,8 +135,7 @@ def test_train_returns_best_validation_params():
     params, log = train(train_set, val_set, CONFIG, config)
     assert 0 < len(log) < 40
     best = min(row[2] for row in log)
-    x = np.stack([s.data for s in val_set])
-    y = np.array([s.label for s in val_set])
+    x, y = val_set.data, val_set.labels
     probs = forward_batch(Tensor(x), params, CONFIG).array
     loss = float(-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-12)).mean())
     assert abs(loss - best) < 1e-12
@@ -146,14 +144,15 @@ def test_train_returns_best_validation_params():
 def test_train_validation_errors():
     good = _toy_dataset(6, 8)
     with pytest.raises(UsageError):
-        train([], good, CONFIG, TrainConfig(max_epochs=1, patience=1))
+        train(good.take([]), good, CONFIG, TrainConfig(max_epochs=1, patience=1))
     with pytest.raises(UsageError):
-        train(good, [], CONFIG, TrainConfig(max_epochs=1, patience=1))
-    short = [FeatureSequence(sample_id="bad", label=0, data=np.zeros((5, 3)))]
+        train(good, good.take([]), CONFIG, TrainConfig(max_epochs=1, patience=1))
+    short = SequenceSet(["bad"], [0], np.zeros((1, 5, 3)))
     with pytest.raises(DimensionError):
         train(good, short, CONFIG, TrainConfig(max_epochs=1, patience=1))
     with pytest.raises(DimensionError):
-        train(good + short, good, CONFIG, TrainConfig(max_epochs=1, patience=1))
+        mixed = SequenceSet(good.ids + short.ids, [*good.labels, 0], [*good.data, *short.data])
+        train(mixed, good, CONFIG, TrainConfig(max_epochs=1, patience=1))
     wrong = ModelConfig(steps=7, input_channels=3, conv_layers=((4, 3),),
                         lstm_hidden=4, attention_heads=2, attention_dim=4)
     with pytest.raises(DimensionError):
