@@ -22,7 +22,7 @@ from . import dataio
 from .config import resolve, resolved_lines
 from .errors import DataError, NumericError, StormError, UsageError, ValidationError
 from .features import AUX_CHANNELS, SequenceSet, balance, build_sample, split
-from .metrics import evaluate, format_metrics_row, read_report_csv, render_table, write_report_csv
+from .metrics import evaluate, format_metrics_row, render_table
 from .model import KNNClassifier, forward, predict_class, standardize_inputs
 from .synthetic import generate_synthetic
 from .training import train as fit_model
@@ -109,13 +109,17 @@ def _metrics_slug(name):
 
 def _write_evaluation(cfg, report):
     slug = _metrics_slug(report.name)
-    write_report_csv(_out(cfg, f"metrics_{slug}.csv"), [report])
+    dataio.write_report_csv(_out(cfg, f"metrics_{slug}.csv"), [report])
     with open(_out(cfg, f"metrics_{slug}.txt"), "w", newline="") as fh:
         fh.write(format_metrics_row(report.name, report) + "\n")
     print(format_metrics_row(report.name, report))
 
 
 def cmd_evaluate(cfg, args):
+    requested = [b.strip() for b in args.baselines.split(",") if b.strip()]
+    unknown = [b for b in requested if b not in BASELINES]
+    if unknown:
+        raise UsageError(f"unknown baselines {unknown}; choose from {list(BASELINES)}")
     test_set = _load_split(cfg, "test")
     positive = args.positive_class
     params, model_config = dataio.load_checkpoint(_out(cfg, "model.ckpt"))
@@ -125,10 +129,6 @@ def cmd_evaluate(cfg, args):
         return predict_class(forward(sample, params, model_config))
 
     _write_evaluation(cfg, evaluate(classify, test_set, positive, MODEL_NAME))
-    requested = [b.strip() for b in args.baselines.split(",") if b.strip()] if args.baselines else []
-    unknown = [b for b in requested if b not in BASELINES]
-    if unknown:
-        raise UsageError(f"unknown baselines {unknown}; choose from {list(BASELINES)}")
     if not requested:
         return 0
     train_set = _load_split(cfg, "train")
@@ -176,9 +176,13 @@ def cmd_report(cfg, args):
     for name in _REPORT_ORDER:
         path = _out(cfg, f"metrics_{_metrics_slug(name)}.csv")
         if os.path.exists(path):
-            reports.extend(read_report_csv(path))
+            reports.extend(dataio.read_report_csv(path))
     if not reports:
         raise DataError(f"no metrics_*.csv files found in {cfg.out_dir}; run evaluate first")
+    classes = sorted({r.positive_class for r in reports})
+    if len(classes) > 1:
+        raise ValidationError(f"metrics_*.csv files in {cfg.out_dir} mix positive classes {classes};"
+                              " evaluate every classifier with one --positive-class")
     _write_run_log(cfg)
     table = render_table(reports)
     with open(_out(cfg, "report.txt"), "w", newline="") as fh:
@@ -216,7 +220,6 @@ def build_parser():
         if name == "evaluate":
             sub.add_argument("--baselines", metavar="LIST", default="",
                              help="comma-separated subset of knn,rnn,lstm,bilstm")
-        if name in ("evaluate", "report"):
             sub.add_argument("--positive-class", type=int, default=0, metavar="N",
                              choices=(0, 1, 2), help="one-vs-rest positive class (default 0)")
         if name == "predict":

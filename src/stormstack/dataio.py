@@ -1,33 +1,75 @@
-"""File formats: sequence datasets, model checkpoints, and the raw
-event/volume files the generator writes.
+"""File formats: sequence datasets, model checkpoints, evaluation
+reports, and the raw event/volume files the generator writes.
 
-Everything is plain UTF-8 text with `\n` line endings; reals are
-rendered with repr(), which round-trips every double exactly, and the
-readers reject NaN and infinity.  Checkpoint headers use config codecs.
+Everything is plain UTF-8 text with `\n` line endings, except that
+`metrics_*.csv` rows end in `\r\n` (the csv module's default, kept so
+the files stay byte-identical).  Reals are rendered with repr(), which
+round-trips every double exactly, and the readers reject NaN and
+infinity.  Checkpoint headers use config codecs.  Every CSV file is
+read through `_rows`, so each one reports a malformed row the same way.
 """
 
 import csv
+from contextlib import contextmanager
 
 import numpy as np
 
 from .config import model_config_lines, parse_model_config
 from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
 from .features import EventRecord, SequenceSet, SHSRVolume
+from .metrics import LABELS, MetricsReport
 from .model import ModelConfig, expected_param_shapes
 from .tensor import Tensor
 
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
-def _require_finite(block, path, first_line):
-    """Raise ParseError naming the line of the first NaN or infinity in
-    block, whose rows (a 1-D block is one row) sit on consecutive lines
-    from first_line."""
-    ok = np.isfinite(block)
+@contextmanager
+def _rows(path, fixed):
+    """Open the CSV file at path, whose header must start with fixed.
+
+    Yields (header, rows); rows gives (lineno, fields) for each data
+    row and refuses one whose field count differs from the header's.  A
+    ValueError raised while the caller handles a row becomes a
+    ParseError naming path:line; a ValidationError or DimensionError
+    gains the same prefix and keeps its class.
+    """
+    line = 0  # the data row being handled; 0 before and after the rows
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+
+        def rows():
+            nonlocal line
+            for line, fields in enumerate(reader, start=2):
+                if len(fields) != len(header):
+                    raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(fields)}")
+                yield line, fields
+            line = 0
+
+        try:
+            header = next(reader, None)
+            if header is None or header[:len(fixed)] != list(fixed):
+                raise ParseError(f"{path}: header must start with {','.join(fixed)}")
+            yield header, rows()
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except (ValueError, ValidationError, DimensionError) as exc:
+            # a UnicodeDecodeError is left to open_text, which names the byte
+            if not line or isinstance(exc, UnicodeDecodeError):
+                raise
+            cls = ParseError if isinstance(exc, ValueError) else type(exc)
+            raise cls(f"{path}:{line}: {exc}") from None
+
+
+def _floats(fields, names=None):
+    """Parse text fields as float64 (the values float() gives); a NaN or
+    infinity raises ValueError naming it and, given names, its column."""
+    values = np.array(fields, dtype=np.float64)
+    ok = np.isfinite(values)
     if not ok.all():
-        row = int(np.argmin(ok.all(axis=-1))) if ok.ndim > 1 else 0
-        bad = float(np.asarray(block)[~ok][0])
-        raise ParseError(f"{path}:{first_line + row}: non-finite value {bad!r}")
+        i = int(np.argmin(ok))
+        raise ValueError(f"non-finite {names[i] if names else 'value'} {float(values[i])!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -53,49 +95,29 @@ def load_sequences(path):
 
     Every sample must have the step count of the first one.
     """
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["sample_id", "t", "label"]:
-            raise ParseError(f"{path}: header must start with sample_id,t,label")
+    with _rows(path, ("sample_id", "t", "label")) as (header, rows):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
-        ids, labels, blocks, first_lines = [], [], [], {}
-        rows = []
-
-        def flush():
-            if rows:
-                data = np.array(rows)
-                _require_finite(data, path, first_lines[ids[-1]])
-                blocks.append(data)
-
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            sample_id = row[0]
-            try:
-                t = int(row[1])
-                label = int(row[2])
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not ids or sample_id != ids[-1]:
+        first_lines, labels, blocks, current = {}, [], [], None
+        for lineno, fields in rows:
+            sample_id, t, label = fields[0], int(fields[1]), int(fields[2])
+            values = _floats(fields[3:])
+            if sample_id != current:
                 if sample_id in first_lines:
-                    raise ValidationError(f"{path}:{lineno}: rows for {sample_id} are not contiguous")
-                flush()
-                ids.append(sample_id)
-                labels.append(label)
+                    raise ValidationError(f"rows for {sample_id} are not contiguous")
+                current = sample_id
                 first_lines[sample_id] = lineno
-                rows = []
-            if t != len(rows):
-                raise ValidationError(f"{path}:{lineno}: expected t={len(rows)} for {sample_id}, got {t}")
+                labels.append(label)
+                blocks.append([])
+            if t != len(blocks[-1]):
+                raise ValidationError(f"expected t={len(blocks[-1])} for {sample_id}, got {t}")
             if label != labels[-1]:
-                raise ValidationError(f"{path}:{lineno}: label changed within {sample_id}")
-            rows.append(values)
-        flush()
+                raise ValidationError(f"label changed within {sample_id}")
+            blocks[-1].append(values)
+    ids = list(first_lines)
     try:
-        return SequenceSet(ids, labels, blocks or np.empty((0, 0, channels)))
+        return SequenceSet(ids, labels, [np.array(b) for b in blocks] or np.empty((0, 0, channels)))
     except DataError as exc:
         raise type(exc)(f"{path}:{first_lines[ids[exc.sample]]}: {exc}") from None
 
@@ -169,25 +191,18 @@ def load_checkpoint(path):
                 f"{path}:{pos + 1}: parameter {name} has shape {shape}, config requires {expected[name]}"
             )
         count = int(np.prod(shape))
-        values = []
+        chunks, got = [], 0
         pos += 1
-        start = pos
-        while len(values) < count and pos < len(lines) and not lines[pos].startswith("@"):
-            chunk = lines[pos].split()
+        while got < count and pos < len(lines) and not lines[pos].startswith("@"):
             try:
-                values.extend(float(v) for v in chunk)
+                chunks.append(_floats(lines[pos].split()))
             except ValueError as exc:
                 raise ParseError(f"{path}:{pos + 1}: {exc}") from None
+            got += chunks[-1].size
             pos += 1
-        if len(values) != count:
-            raise ParseError(
-                f"{path}: incomplete block for {name}: got {len(values)} of {count} values"
-            )
-        block = np.array(values)
-        if not np.isfinite(block).all():
-            for i in range(start, pos):  # find the line to name
-                _require_finite([float(v) for v in lines[i].split()], path, i + 1)
-        params[name] = Tensor(block.reshape(shape), _checked=True)
+        if got != count:
+            raise ParseError(f"{path}: incomplete block for {name}: got {got} of {count} values")
+        params[name] = Tensor(np.concatenate(chunks).reshape(shape), _checked=True)
     missing = [n for n in expected if n not in params]
     if missing:
         raise ValidationError(f"{path}: checkpoint is missing parameters {missing}")
@@ -211,33 +226,26 @@ def write_events(path, events, channels):
 
 
 def load_events(path):
-    """Returns (events, channels) with channels taken from the header."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        fixed = ["event_id", "label", "latitude", "longitude", "timestamp"]
-        if header is None or header[:5] != fixed:
-            raise ParseError(f"{path}: header must start with {','.join(fixed)}")
+    """Returns (events, channels) with channels taken from the header.
+
+    An event_id may appear only once.
+    """
+    with _rows(path, ("event_id", "label", "latitude", "longitude", "timestamp")) as (header, rows):
         channels = tuple(header[5:])
-        events = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                numbers = [float(v) for v in row[2:4] + row[5:]]
-                _require_finite(numbers, path, lineno)
-                events.append(EventRecord(
-                    event_id=row[0],
-                    label=int(row[1]),
-                    latitude=numbers[0],
-                    longitude=numbers[1],
-                    timestamp=int(row[4]),
-                    auxiliary=dict(zip(channels, numbers[2:])),
-                ))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        events, seen = [], set()
+        for _, fields in rows:
+            if fields[0] in seen:
+                raise ValidationError(f"repeated event_id {fields[0]!r}")
+            seen.add(fields[0])
+            numbers = _floats(fields[2:4] + fields[5:]).tolist()
+            events.append(EventRecord(
+                event_id=fields[0],
+                label=int(fields[1]),
+                latitude=numbers[0],
+                longitude=numbers[1],
+                timestamp=int(fields[4]),
+                auxiliary=dict(zip(channels, numbers[2:])),
+            ))
     return events, channels
 
 
@@ -262,32 +270,47 @@ def write_volumes(path, events, volumes):
 
 def load_volumes(path):
     """Returns {event_id: [SHSRVolume, ...]} preserving file order."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        fixed = ["event_id", "timestamp", "nx", "ny", "nz", "missing"]
-        if header is None or header[:6] != fixed:
-            raise ParseError(f"{path}: header must start with {','.join(fixed)}")
-        cells = len(header) - 6
+    with _rows(path, ("event_id", "timestamp", "nx", "ny", "nz", "missing")) as (_, rows):
         volumes = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                dims = (int(row[2]), int(row[3]), int(row[4]))
-                numbers = np.array([float(v) for v in row[5:]])
-                _require_finite(numbers, path, lineno)
-                volume = SHSRVolume(
-                    dims=dims,
-                    values=numbers[1:],
-                    timestamp=int(row[1]),
-                    missing=float(numbers[0]),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            except (ValidationError, DimensionError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
-            if dims[0] * dims[1] * dims[2] != cells:
-                raise DimensionError(f"{path}:{lineno}: dims {dims} do not match {cells} value columns")
-            volumes.setdefault(row[0], []).append(volume)
+        for _, fields in rows:
+            numbers = _floats(fields[5:])
+            volumes.setdefault(fields[0], []).append(SHSRVolume(
+                dims=fields[2:5], values=numbers[1:], timestamp=int(fields[1]), missing=float(numbers[0]),
+            ))
     return volumes
+
+
+# ---------------------------------------------------------------------------
+# evaluation reports
+
+_REPORT_FIELDS = (
+    "model", "positive_class", "precision", "recall", "f1", "accuracy",
+    "macro_precision", "macro_recall", "macro_f1",
+) + tuple(f"cm{i}{j}" for i in LABELS for j in LABELS)
+
+
+def write_report_csv(path, reports):
+    """Machine-readable report: full-precision scores plus the flattened
+    confusion matrix, one row per classifier."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_REPORT_FIELDS)
+        for rep in reports:
+            row = [rep.name, rep.positive_class]
+            row += [repr(v) for v in (rep.precision, rep.recall, rep.f1, rep.accuracy,
+                                      rep.macro_precision, rep.macro_recall, rep.macro_f1)]
+            row += [int(rep.confusion[i, j]) for i in LABELS for j in LABELS]
+            writer.writerow(row)
+
+
+def read_report_csv(path):
+    """Inverse of write_report_csv."""
+    reports = []
+    with _rows(path, _REPORT_FIELDS) as (header, rows):
+        if len(header) != len(_REPORT_FIELDS):
+            raise ParseError(f"{path}: header must be {','.join(_REPORT_FIELDS)}")
+        for _, fields in rows:
+            scores = _floats(fields[2:9], _REPORT_FIELDS[2:9]).tolist()
+            cm = np.array([int(v) for v in fields[9:]], dtype=np.int64).reshape(3, 3)
+            reports.append(MetricsReport(fields[0], int(fields[1]), *scores, confusion=cm))
+    return reports

@@ -205,7 +205,13 @@ def build_sample(
             f"event {event.event_id} auxiliary channels do not match configuration"
             f" (missing {missing}, unexpected {extra})"
         )
-    stats = np.array([extract_shsr_stats(v, threshold) for v in volumes])
+    stats = []
+    for v in volumes:
+        try:
+            stats.append(extract_shsr_stats(v, threshold))
+        except ValidationError as exc:
+            raise ValidationError(f"event {event.event_id} scan at {v.timestamp}: {exc}") from None
+    stats = np.array(stats)
     if kalman_q is not None:
         stats = smooth_series(stats, kalman_q, kalman_r)
     aux = np.array([float(event.auxiliary[c]) for c in channels])

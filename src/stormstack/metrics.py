@@ -5,13 +5,11 @@ Labels are 0 = tornado, 1 = hail, 2 = wind throughout.  Every ratio
 follows the 0/0 -> 0 convention so degenerate tallies stay defined.
 """
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, open_text
+from .errors import UsageError, ValidationError
 
 LABELS = (0, 1, 2)
 
@@ -19,7 +17,8 @@ LABELS = (0, 1, 2)
 @dataclass(frozen=True)
 class MetricsReport:
     """One evaluated classifier: its one-vs-rest scores for the chosen
-    positive class, macro averages, and the raw confusion matrix."""
+    positive class (a label), macro averages, and the raw confusion
+    matrix (nonnegative counts)."""
 
     name: str
     positive_class: int
@@ -31,6 +30,12 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
     confusion: np.ndarray
+
+    def __post_init__(self):
+        if self.positive_class not in LABELS:
+            raise ValidationError(f"positive class must be 0, 1, or 2, got {self.positive_class}")
+        if (self.confusion < 0).any():
+            raise ValidationError(f"confusion counts must be nonnegative, got {self.confusion.min()}")
 
     def row(self):
         return (self.precision, self.recall, self.f1, self.accuracy)
@@ -129,47 +134,3 @@ def render_table(reports) -> str:
         cells = [r[0].ljust(widths[0])] + [r[i].rjust(widths[i]) for i in range(1, 5)]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-_CSV_FIELDS = (
-    "model", "positive_class", "precision", "recall", "f1", "accuracy",
-    "macro_precision", "macro_recall", "macro_f1",
-) + tuple(f"cm{i}{j}" for i in LABELS for j in LABELS)
-
-
-def write_report_csv(path, reports):
-    """Machine-readable report: full-precision scores plus the flattened
-    confusion matrix, one row per classifier."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for rep in reports:
-            row = [rep.name, rep.positive_class]
-            row += [repr(v) for v in (rep.precision, rep.recall, rep.f1, rep.accuracy,
-                                      rep.macro_precision, rep.macro_recall, rep.macro_f1)]
-            row += [int(rep.confusion[i, j]) for i in LABELS for j in LABELS]
-            writer.writerow(row)
-
-
-def read_report_csv(path):
-    """Inverse of write_report_csv; a non-finite score is a ParseError."""
-    reports = []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _CSV_FIELDS:
-            raise ParseError(f"{path}: unrecognized report header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_FIELDS):
-                raise ParseError(f"{path}:{lineno}: expected {len(_CSV_FIELDS)} fields, got {len(row)}")
-            try:
-                cm = np.array([int(v) for v in row[9:]], dtype=np.int64).reshape(3, 3)
-                scores = [float(v) for v in row[2:9]]
-                positive_class = int(row[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for field, value in zip(_CSV_FIELDS[2:9], scores):
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: non-finite {field} {value!r}")
-            reports.append(MetricsReport(row[0], positive_class, *scores, confusion=cm))
-    return reports

@@ -52,12 +52,10 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK
-        self._count = 0
         self._spare_normal = None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
-        self._count += 1
         return mix64(self._state)
 
     def u64_block(self, n: int) -> np.ndarray:
@@ -70,7 +68,6 @@ class SplitMix64:
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             z = z ^ (z >> np.uint64(31))
         self._state = (self._state + n * _GOLDEN) & _MASK
-        self._count += n
         return z
 
     def uniform(self) -> float:

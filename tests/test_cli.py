@@ -146,6 +146,44 @@ def test_unknown_baseline_is_usage_error(pipeline, capsys):
     assert "unknown baselines" in capsys.readouterr().err
 
 
+def _copy(out, dest, *names):
+    dest.mkdir(exist_ok=True)
+    for name in names:
+        (dest / name).write_bytes((out / name).read_bytes())
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_unknown_baseline_changes_no_file(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "test.csv", "model.ckpt")
+    for name in ("run_config.txt", "metrics_model.csv", "metrics_model.txt"):
+        (tmp_path / name).write_text("untouched\n")
+    before = _snapshot(tmp_path)
+    code = cli.main(["evaluate", "--baselines", "knn,foo",
+                     "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert "unknown baselines ['foo']" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_report_refuses_mixed_positive_classes(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "train.csv", "val.csv", "test.csv", "model.ckpt")
+    run = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["evaluate", "--positive-class", "2", "--baselines", "knn"] + run) == 0
+    assert cli.main(["evaluate"] + run) == 0
+    capsys.readouterr()
+    assert cli.main(["report"] + run) == 2
+    _one_data_error(capsys, "mix positive classes [0, 2]")
+    assert not (tmp_path / "report.txt").exists()
+    # the flag was a no-op on report and is gone from it
+    assert cli.main(["report", "--positive-class", "2"] + run) == 1
+    assert "--positive-class" in capsys.readouterr().err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -244,6 +282,31 @@ def test_ragged_input_is_data_error(pipeline, tmp_path, capsys):
     assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--input", str(bad),
                      "--out", str(tmp_path)]) == 2
     _one_data_error(capsys, f"{bad}:8: sample {second} has shape (5, 16)")
+
+
+def test_repeated_event_id_is_data_error(pipeline, tmp_path, capsys):
+    # a second row for one event would put its samples in train and test
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "events.csv").read_text().split("\n")
+    (tmp_path / "events.csv").write_text("\n".join(lines[:3] + lines[1:2] + lines[3:]))
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    event_id = lines[1].split(",")[0]
+    _one_data_error(capsys, f"{tmp_path / 'events.csv'}:4: repeated event_id '{event_id}'")
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_all_missing_scan_is_data_error(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:6] + [fields[5]] * (len(fields) - 6))
+    (tmp_path / "volumes.csv").write_text("\n".join(lines))
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: volume has no non-missing cells")
 
 
 def test_resolve_layers_defaults_file_then_flags(tmp_path):

@@ -375,6 +375,16 @@ def test_events_reject_non_finite(tmp_path):
     assert f"{path}:2: latitude out of range" in str(err.value)
 
 
+def test_events_reject_repeated_id(tmp_path):
+    path = tmp_path / "events.csv"
+    write_events(path, _events(3), AUX_CHANNELS)
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:4] + lines[2:3] + lines[4:]))
+    with pytest.raises(ValidationError) as err:
+        load_events(path)
+    assert f"{path}:5: repeated event_id 'ev1'" in str(err.value)
+
+
 def _volume(values, timestamp):
     return SHSRVolume(dims=(2, 1, 2), values=np.asarray(values, dtype=np.float64),
                       timestamp=timestamp)
@@ -428,3 +438,22 @@ def test_volumes_reject_non_finite(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_volumes(path)
     assert f"{path}:2: dims must be" in str(err.value)
+
+
+def test_csv_readers_name_the_line_of_an_oversized_field(tmp_path):
+    # the csv module refuses a field above its size limit; that is a
+    # malformed file like any other, not a crash
+    huge = "1" * 200_000
+    cases = (
+        (load_sequences, "sample_id,t,label,f_1\na,0,1,1.0\n", "a,1,1," + huge),
+        (load_events, "event_id,label,latitude,longitude,timestamp\nev0,0,1.0,2.0,3\n",
+         "ev1,0,1.0,2.0," + huge),
+        (load_volumes, "event_id,timestamp,nx,ny,nz,missing,v_1\nev0,950,1,1,1,-999.0,1.0\n",
+         "ev0,960,1,1,1,-999.0," + huge),
+    )
+    for reader, head, row in cases:
+        path = tmp_path / "file.csv"
+        path.write_text(head + row + "\n")
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert f"{path}:3: field larger than field limit" in str(err.value)

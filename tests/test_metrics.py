@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stormstack.dataio import read_report_csv, write_report_csv
 from stormstack.errors import ParseError, UsageError, ValidationError
 from stormstack.features import SequenceSet
 from stormstack.metrics import (
@@ -12,9 +13,7 @@ from stormstack.metrics import (
     format_metrics_row,
     metrics,
     multiclass_accuracy,
-    read_report_csv,
     render_table,
-    write_report_csv,
 )
 
 
@@ -184,3 +183,19 @@ def test_report_csv_rejects_tampering(tmp_path):
         with pytest.raises(ParseError) as err:
             read_report_csv(bad)
         assert f"{bad}:2: non-finite {lines[0].split(',')[column]}" in str(err.value)
+
+
+def test_report_csv_rejects_impossible_records(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_report_csv(path, [_report()])
+    header, row = path.read_text().splitlines()[:2]
+    fields = row.split(",")
+    for column, text, message in ((1, "3", "positive class must be 0, 1, or 2, got 3"),
+                                  (1, "-1", "positive class must be 0, 1, or 2, got -1"),
+                                  (13, "-4", "confusion counts must be nonnegative, got -4")):
+        path.write_text(header + "\n" + ",".join(fields[:column] + [text] + fields[column + 1:]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_report_csv(path)
+        assert f"{path}:2: {message}" in str(err.value)
+    with pytest.raises(ValidationError):
+        _report(positive_class=5)
