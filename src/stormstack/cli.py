@@ -28,8 +28,9 @@ from .synthetic import generate_synthetic
 from .training import train as fit_model
 
 MODEL_NAME = "Kalman-Conv BiLSTM with Attention"
-BASELINES = ("knn", "rnn", "lstm", "bilstm")
-_REPORT_ORDER = ("KNN", "RNN", "LSTM", "BiLSTM", MODEL_NAME)
+# metrics_<slug>.* file slug -> report name, in report order
+_CLASSIFIERS = {"knn": "KNN", "rnn": "RNN", "lstm": "LSTM", "bilstm": "BiLSTM", "model": MODEL_NAME}
+BASELINES = tuple(_CLASSIFIERS)[:-1]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +66,9 @@ def cmd_featurize(cfg, args):
     missing = [e.event_id for e in events if e.event_id not in volumes]
     if missing:
         raise ValidationError(f"no volumes for events {missing[:5]} (of {len(missing)})")
+    unknown = sorted(volumes.keys() - {e.event_id for e in events})
+    if unknown:
+        raise ValidationError(f"volumes for events not in events.csv {unknown[:5]} (of {len(unknown)})")
     samples = SequenceSet(
         [e.event_id for e in events],
         [e.label for e in events],
@@ -85,12 +89,25 @@ def _load_split(cfg, name):
     return dataio.load_sequences(_out(cfg, f"{name}.csv"))
 
 
+def _fit(cfg, train_set, val_set, **variant):
+    """Standardize on the training split, then fit; variant overrides
+    recurrent/attention for the baselines."""
+    _, steps, width = train_set.data.shape
+    model_config = standardize_inputs(cfg.model_config(steps, width, **variant), train_set)
+    params, log = fit_model(train_set, val_set, model_config, cfg.train_config())
+    return params, model_config, log
+
+
+def _classifier(params, model_config):
+    def classify(sample):
+        return predict_class(forward(sample, params, model_config))
+    return classify
+
+
 def cmd_train(cfg, args):
     train_set = _load_split(cfg, "train")
     val_set = _load_split(cfg, "val")
-    _, steps, width = train_set.data.shape
-    model_config = standardize_inputs(cfg.model_config(steps, width), train_set)
-    params, log = fit_model(train_set, val_set, model_config, cfg.train_config())
+    params, model_config, log = _fit(cfg, train_set, val_set)
     _write_run_log(cfg)
     dataio.save_checkpoint(params, model_config, _out(cfg, "model.ckpt"))
     with open(_out(cfg, "train_log.csv"), "w", newline="") as fh:
@@ -103,12 +120,8 @@ def cmd_train(cfg, args):
     return 0
 
 
-def _metrics_slug(name):
-    return "model" if name == MODEL_NAME else name.lower()
-
-
-def _write_evaluation(cfg, report):
-    slug = _metrics_slug(report.name)
+def _write_evaluation(cfg, slug, classify, test_set, positive):
+    report = evaluate(classify, test_set, positive, _CLASSIFIERS[slug])
     dataio.write_report_csv(_out(cfg, f"metrics_{slug}.csv"), [report])
     with open(_out(cfg, f"metrics_{slug}.txt"), "w", newline="") as fh:
         fh.write(format_metrics_row(report.name, report) + "\n")
@@ -116,7 +129,8 @@ def _write_evaluation(cfg, report):
 
 
 def cmd_evaluate(cfg, args):
-    requested = [b.strip() for b in args.baselines.split(",") if b.strip()]
+    # a repeated name is scored once, in first-seen order
+    requested = list(dict.fromkeys(b.strip() for b in args.baselines.split(",") if b.strip()))
     unknown = [b for b in requested if b not in BASELINES]
     if unknown:
         raise UsageError(f"unknown baselines {unknown}; choose from {list(BASELINES)}")
@@ -124,32 +138,19 @@ def cmd_evaluate(cfg, args):
     positive = args.positive_class
     params, model_config = dataio.load_checkpoint(_out(cfg, "model.ckpt"))
     _write_run_log(cfg)
-
-    def classify(sample):
-        return predict_class(forward(sample, params, model_config))
-
-    _write_evaluation(cfg, evaluate(classify, test_set, positive, MODEL_NAME))
+    _write_evaluation(cfg, "model", _classifier(params, model_config), test_set, positive)
     if not requested:
         return 0
     train_set = _load_split(cfg, "train")
     val_set = _load_split(cfg, "val")
-    _, steps, width = train_set.data.shape
-    for baseline in requested:
-        if baseline == "knn":
-            knn = KNNClassifier(k=cfg.knn_k).fit(train_set)
-            report = evaluate(knn.predict, test_set, positive, "KNN")
+    for slug in requested:
+        if slug == "knn":
+            classify = KNNClassifier(k=cfg.knn_k).fit(train_set).predict
         else:
-            variant_config = standardize_inputs(
-                cfg.model_config(steps, width, recurrent=baseline, attention=False), train_set
-            )
-            variant_params, _ = fit_model(train_set, val_set, variant_config, cfg.train_config())
-
-            def classify_variant(sample, p=variant_params, c=variant_config):
-                return predict_class(forward(sample, p, c))
-
-            names = {"rnn": "RNN", "lstm": "LSTM", "bilstm": "BiLSTM"}
-            report = evaluate(classify_variant, test_set, positive, names[baseline])
-        _write_evaluation(cfg, report)
+            variant_params, variant_config, _ = _fit(cfg, train_set, val_set,
+                                                     recurrent=slug, attention=False)
+            classify = _classifier(variant_params, variant_config)
+        _write_evaluation(cfg, slug, classify, test_set, positive)
     return 0
 
 
@@ -173,8 +174,8 @@ def cmd_predict(cfg, args):
 
 def cmd_report(cfg, args):
     reports = []
-    for name in _REPORT_ORDER:
-        path = _out(cfg, f"metrics_{_metrics_slug(name)}.csv")
+    for slug in _CLASSIFIERS:
+        path = _out(cfg, f"metrics_{slug}.csv")
         if os.path.exists(path):
             reports.extend(dataio.read_report_csv(path))
     if not reports:

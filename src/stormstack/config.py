@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import DimensionError, ParseError, UsageError, ValidationError, open_text
-from .model import ModelConfig
+from .model import ModelConfig, recurrent_width
 from .synthetic import SyntheticConfig
 from .training import TrainConfig
 
@@ -50,18 +50,18 @@ class RunConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    def _build(self, cls, **overrides):
+        """cls built from every RunConfig field it declares under the
+        same name; overrides win."""
+        mine = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
+        return cls(**{**shared, **overrides})
+
     def synthetic_config(self) -> SyntheticConfig:
-        return SyntheticConfig(
-            samples_per_class=self.samples_per_class,
-            steps=self.steps,
-            grid=self.grid,
-            cell=self.cell,
-            base_dbz=self.base_dbz,
-            peak_dbz=self.peak_dbz,
-            rho=self.rho,
-            sigma=self.sigma,
-            seed=self.seed,
-        )
+        return self._build(SyntheticConfig)
+
+    def train_config(self) -> TrainConfig:
+        return self._build(TrainConfig)
 
     def model_config(self, steps, input_channels, recurrent=None, attention=None) -> ModelConfig:
         """Architecture for the given data shape.
@@ -73,39 +73,18 @@ class RunConfig:
         """
         recurrent = self.recurrent if recurrent is None else recurrent
         attention = self.attention if attention is None else attention
-        width = 2 * self.lstm_hidden if recurrent == "bilstm" else self.lstm_hidden
         head_dim = self.attention_dim
-        if attention and head_dim == 0:
+        # a nonpositive head count is left for ModelConfig to refuse
+        if attention and head_dim == 0 and self.attention_heads > 0:
+            width = recurrent_width(recurrent, self.lstm_hidden)
             if width % self.attention_heads != 0:
                 raise UsageError(
-                    f"attention_heads={self.attention_heads} does not divide the"
-                    f" recurrent width {width}; set model.head_dim explicitly"
+                    f"model.heads={self.attention_heads} must divide the recurrent width {width}"
+                    f" (model.hidden={self.lstm_hidden}, model.recurrent={recurrent})"
                 )
             head_dim = width // self.attention_heads
-        return ModelConfig(
-            steps=steps,
-            input_channels=input_channels,
-            conv_layers=self.conv_layers,
-            lstm_hidden=self.lstm_hidden,
-            attention_heads=self.attention_heads,
-            attention_dim=head_dim,
-            conv_padding=self.conv_padding,
-            recurrent=recurrent,
-            attention=attention,
-            seed=self.seed,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            seed=self.seed,
-        )
+        return self._build(ModelConfig, steps=steps, input_channels=input_channels,
+                           attention_dim=head_dim, recurrent=recurrent, attention=attention)
 
 
 def _parse_bool(text):
@@ -192,10 +171,10 @@ def _parse(key, field, text, where):
 def parse_config_file(path) -> dict:
     """Read `key=value` lines; `#` starts a comment, blanks are skipped.
 
-    Returns {RunConfig field: parsed value}; unknown keys and
-    malformed values fail loudly.
+    Returns {RunConfig field: parsed value}; unknown keys, repeated
+    keys and malformed values fail loudly.
     """
-    values = {}
+    values, seen = {}, {}
     with open_text(path, UsageError, "config file") as fh:
         lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -208,6 +187,9 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: repeated config key {key!r} (first on line {seen[key]})")
+        seen[key] = lineno
         field = _KEYS[key][0]
         values[field] = _parse(key, field, text.strip(), f"{path}:{lineno}")
     return values

@@ -232,8 +232,10 @@ def balance(samples, seed: int):
     minority class is kept whole.
     """
     counts = class_counts(samples)
-    if min(counts.values()) == 0:
-        raise UsageError(f"balance needs all three classes present, counts {counts}")
+    absent = [label for label, n in counts.items() if n == 0]
+    if absent:
+        raise ValidationError(f"balance needs all three classes present; no samples of"
+                              f" classes {absent} (counts {counts})")
     target = min(counts.values())
     rng = SplitMix64(seed)
     keep = []

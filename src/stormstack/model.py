@@ -40,6 +40,12 @@ RECURRENT_KINDS = ("bilstm", "lstm", "rnn")
 _GATES = ("f", "i", "c", "o")
 
 
+def recurrent_width(recurrent, lstm_hidden):
+    """Channel count coming out of the recurrent encoder: the
+    bidirectional LSTM concatenates both directions."""
+    return 2 * lstm_hidden if recurrent == "bilstm" else lstm_hidden
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture settings.
@@ -111,8 +117,7 @@ class ModelConfig:
 
     @property
     def feature_width(self):
-        """Channel count coming out of the recurrent encoder."""
-        return 2 * self.lstm_hidden if self.recurrent == "bilstm" else self.lstm_hidden
+        return recurrent_width(self.recurrent, self.lstm_hidden)
 
     def conv_steps(self):
         """Time steps surviving the conv stack; raises if a kernel is too long."""

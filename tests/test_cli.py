@@ -7,6 +7,7 @@ assert on the artifacts it left behind.
 
 import csv
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -307,6 +308,106 @@ def test_all_missing_scan_is_data_error(pipeline, tmp_path, capsys):
     code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
     assert code == 2
     _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: volume has no non-missing cells")
+
+
+def test_repeated_baseline_is_scored_once(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "train.csv", "val.csv", "test.csv", "model.ckpt")
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--baselines", "knn,knn",
+                     "--config", str(config), "--out", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["Kalman-Conv", "KNN"]
+
+
+def test_absent_class_is_data_error(pipeline, tmp_path, capsys):
+    # drop every label-2 event and its volumes: a data problem, not misuse
+    config, out = pipeline
+    events = (out / "events.csv").read_text().splitlines()
+    wind = {line.split(",")[0] for line in events[1:] if line.split(",")[1] == "2"}
+    volumes = (out / "volumes.csv").read_text().splitlines()
+    for name, lines in (("events.csv", events), ("volumes.csv", volumes)):
+        kept = [line for line in lines if line.split(",")[0] not in wind]
+        (tmp_path / name).write_text("\n".join(kept) + "\n")
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, "no samples of classes [2]")
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_volumes_for_unknown_events_are_data_error(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().splitlines()
+    ghost = "ghost," + lines[1].split(",", 1)[1]
+    (tmp_path / "volumes.csv").write_text("\n".join(lines + [ghost]) + "\n")
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, "volumes for events not in events.csv ['ghost'] (of 1)")
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_repeated_config_key_is_data_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\ndata.sigma = 2.5\n  seed=9  # later\n")
+    with pytest.raises(ParseError, match=f"{config}:3: repeated config key 'seed'"):
+        parse_config_file(str(config))
+    assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{config}:3: repeated config key 'seed' (first on line 1)")
+    assert not (tmp_path / "events.csv").exists()
+
+
+def test_heads_must_divide_the_recurrent_width(pipeline, tmp_path, capsys):
+    # hidden 8 -> bidirectional width 16; no model.head_dim tiles it with 3 heads
+    _, out = pipeline
+    _copy(out, tmp_path, "train.csv", "val.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_CONFIG.replace("model.heads = 4", "model.heads = 3"))
+    run = ["train", "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(run) == 1
+    err = capsys.readouterr().err
+    assert err == ("usage error: model.heads=3 must divide the recurrent width 16"
+                   " (model.hidden=8, model.recurrent=bilstm)\n")
+    # zero heads is refused like any other nonpositive count, without a traceback
+    config.write_text(TINY_CONFIG.replace("model.heads = 4", "model.heads = 0"))
+    assert cli.main(run) == 2
+    _one_data_error(capsys, "attention_heads and attention_dim must be positive")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_sub_configs_take_run_config_fields_by_name():
+    # every field differs from its default, so each one that arrives shows
+    run = RunConfig(
+        seed=7, out_dir="elsewhere", threshold=40.0, fractions=(0.6, 0.2, 0.2),
+        samples_per_class=20, steps=9, grid=(6, 6, 3), cell=(2, 2, 1),
+        base_dbz=(21.0, 19.0, 15.0), peak_dbz=(56.0, 49.0, 36.0), rho=0.8, sigma=4.0,
+        kalman_q=0.02, kalman_r=2.0, conv_layers=((8, 2),), lstm_hidden=6,
+        attention_heads=3, attention_dim=2, conv_padding="same", recurrent="lstm",
+        attention=False, knn_k=3, learning_rate=0.01, batch_size=16, max_epochs=50,
+        patience=5, beta1=0.8, beta2=0.99, epsilon=1e-7,
+    )
+    default = RunConfig()
+    assert [f.name for f in fields(RunConfig) if getattr(run, f.name) == getattr(default, f.name)] == []
+    run_fields = {f.name for f in fields(RunConfig)}
+    expected = {
+        "synthetic": {"samples_per_class", "steps", "grid", "cell", "base_dbz", "peak_dbz",
+                      "rho", "sigma", "seed"},
+        "train": {"learning_rate", "batch_size", "max_epochs", "patience", "beta1", "beta2",
+                  "epsilon", "seed"},
+        "model": {"conv_layers", "lstm_hidden", "attention_heads", "attention_dim",
+                  "conv_padding", "recurrent", "attention", "seed"},
+    }
+    subs = {"synthetic": run.synthetic_config(), "train": run.train_config(),
+            "model": run.model_config(steps=10, input_channels=5)}
+    for name, sub in subs.items():
+        shared = {f.name for f in fields(sub)} & run_fields
+        # the model's steps come from the data, not from data.steps
+        overridden = {"steps"} if name == "model" else set()
+        assert shared - overridden == expected[name], name
+        arrived = {f for f in shared if getattr(sub, f) == getattr(run, f)}
+        assert arrived == expected[name], name
+    assert (subs["model"].steps, subs["model"].input_channels) == (10, 5)
 
 
 def test_resolve_layers_defaults_file_then_flags(tmp_path):

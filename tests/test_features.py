@@ -235,7 +235,7 @@ def test_balance_large_counts():
 
 def test_balance_requires_all_classes():
     samples = _mini([0, 0, 1])
-    with pytest.raises(UsageError) as err:
+    with pytest.raises(ValidationError) as err:
         balance(samples, seed=0)
     assert "counts" in str(err.value)
 
