@@ -25,9 +25,9 @@ for e in events:
 print()
 print("mean fraction of cells above 45 dBZ, by class:")
 for label, name in enumerate(CLASS_NAMES):
-    fractions = [np.mean(v.values > 45.0)
+    fractions = [np.mean(grid > 45.0)
                  for e, scans in zip(events, volumes) if e.label == label
-                 for v in scans]
+                 for grid in scans.grids]
     print(f"  {name:<8s} {np.mean(fractions):.4f}")
 
 # ASCII slice: column maximum over z for the first tornado event,
@@ -36,12 +36,12 @@ print()
 event, scans = events[0], volumes[0]
 print(f"column-max reflectivity for {event.event_id} ({CLASS_NAMES[event.label]}):")
 glyphs = " .:-=+*#@"
-for t, v in enumerate(scans):
-    top = v.grid().max(axis=2)
+for t, (stamp, grid) in enumerate(zip(scans.timestamps, scans.grids)):
+    top = grid.max(axis=2)
     rows = []
     for row in top:
         chars = [glyphs[min(int(max(cell, 0.0) / 7.0), len(glyphs) - 1)] for cell in row]
         rows.append("".join(chars))
-    print(f"t={t} ({v.timestamp} min)")
+    print(f"t={t} ({stamp} min)")
     for line in rows:
         print("   ", line)

@@ -9,14 +9,13 @@ channels, optionally Kalman-smoothed along time.
 import numpy as np
 
 from stormstack.features import (
-    SHSRVolume, SequenceSet, balance, build_sample, class_counts, extract_shsr_stats, split,
+    SequenceSet, balance, build_sample, class_counts, extract_shsr_stats, split,
 )
 from stormstack.synthetic import SyntheticConfig, generate_synthetic
 
 print("== one volume, six numbers ==")
 values = np.array([0.0, 0.0, 50.0, 10.0, -999.0, 30.0])
-vol = SHSRVolume(dims=(3, 2, 1), values=values, timestamp=0)
-stats = extract_shsr_stats(vol, threshold=45.0)
+stats = extract_shsr_stats(values.reshape(3, 2, 1), threshold=45.0)
 print("cells:", values, " (the -999 marker is excluded)")
 for name, value in zip(("min", "max", "mean", "variance", "nonzero", "above 45"), stats):
     print(f"  {name:<9s} {value:g}")

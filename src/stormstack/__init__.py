@@ -29,7 +29,7 @@ from .features import (
     AUX_CHANNELS,
     DatasetSplit,
     EventRecord,
-    SHSRVolume,
+    ScanBlock,
     SequenceSet,
     balance,
     build_sample,

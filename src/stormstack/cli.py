@@ -40,39 +40,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_run_log(cfg):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "run_config.txt"), "w", newline="") as fh:
-        for line in resolved_lines(cfg):
-            fh.write(line + "\n")
-
-
 def _out(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
+def _write(cfg, name, lines):
+    """Write OUT/name as UTF-8 text, one newline-terminated line per item."""
+    with open(_out(cfg, name), "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_run_log(cfg):
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write(cfg, "run_config.txt", resolved_lines(cfg))
+
+
 def cmd_generate(cfg, args):
-    events, volumes = generate_synthetic(cfg.synthetic_config())
+    events, scans = generate_synthetic(cfg.synthetic_config())
     _write_run_log(cfg)
     dataio.write_events(_out(cfg, "events.csv"), events, AUX_CHANNELS)
-    dataio.write_volumes(_out(cfg, "volumes.csv"), events, volumes)
+    dataio.write_volumes(_out(cfg, "volumes.csv"), events, scans)
     print(f"generated {len(events)} events with {cfg.steps} volumes each -> {cfg.out_dir}")
     return 0
 
 
 def cmd_featurize(cfg, args):
     events, channels = dataio.load_events(_out(cfg, "events.csv"))
-    volumes = dataio.load_volumes(_out(cfg, "volumes.csv"))
-    missing = [e.event_id for e in events if e.event_id not in volumes]
+    scans = dataio.load_volumes(_out(cfg, "volumes.csv"))
+    missing = [e.event_id for e in events if e.event_id not in scans]
     if missing:
         raise ValidationError(f"no volumes for events {missing[:5]} (of {len(missing)})")
-    unknown = sorted(volumes.keys() - {e.event_id for e in events})
+    unknown = sorted(scans.keys() - {e.event_id for e in events})
     if unknown:
         raise ValidationError(f"volumes for events not in events.csv {unknown[:5]} (of {len(unknown)})")
     samples = SequenceSet(
         [e.event_id for e in events],
         [e.label for e in events],
-        [build_sample(e, volumes[e.event_id], threshold=cfg.threshold, channels=channels,
+        [build_sample(e, scans[e.event_id], threshold=cfg.threshold, channels=channels,
                       kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r) for e in events],
     )
     balanced = balance(samples, cfg.seed)
@@ -110,10 +114,8 @@ def cmd_train(cfg, args):
     params, model_config, log = _fit(cfg, train_set, val_set)
     _write_run_log(cfg)
     dataio.save_checkpoint(params, model_config, _out(cfg, "model.ckpt"))
-    with open(_out(cfg, "train_log.csv"), "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss,val_accuracy\n")
-        for epoch, train_loss, val_loss, val_acc in log:
-            fh.write(f"{epoch},{train_loss!r},{val_loss!r},{val_acc!r}\n")
+    _write(cfg, "train_log.csv", ["epoch,train_loss,val_loss,val_accuracy"]
+           + [f"{epoch},{loss!r},{val_loss!r},{acc!r}" for epoch, loss, val_loss, acc in log])
     last = log[-1] if log else (None, float("nan"), float("nan"), float("nan"))
     print(f"trained {len(log)} epochs, final val_loss {last[2]:.4f}"
           f" val_accuracy {last[3]:.4f} -> {cfg.out_dir}/model.ckpt")
@@ -123,8 +125,7 @@ def cmd_train(cfg, args):
 def _write_evaluation(cfg, slug, classify, test_set, positive):
     report = evaluate(classify, test_set, positive, _CLASSIFIERS[slug])
     dataio.write_report_csv(_out(cfg, f"metrics_{slug}.csv"), [report])
-    with open(_out(cfg, f"metrics_{slug}.txt"), "w", newline="") as fh:
-        fh.write(format_metrics_row(report.name, report) + "\n")
+    _write(cfg, f"metrics_{slug}.txt", [format_metrics_row(report.name, report)])
     print(format_metrics_row(report.name, report))
 
 
@@ -137,6 +138,7 @@ def cmd_evaluate(cfg, args):
     test_set = _load_split(cfg, "test")
     positive = args.positive_class
     params, model_config = dataio.load_checkpoint(_out(cfg, "model.ckpt"))
+    model_config.check_shape(test_set.data, _out(cfg, "test.csv"))  # before any write
     _write_run_log(cfg)
     _write_evaluation(cfg, "model", _classifier(params, model_config), test_set, positive)
     if not requested:
@@ -159,16 +161,16 @@ def cmd_predict(cfg, args):
     source = args.input or _out(cfg, "test.csv")
     params, model_config = dataio.load_checkpoint(checkpoint)
     samples = dataio.load_sequences(source)
+    model_config.check_shape(samples.data, source)
+    # every sample is scored before any file is written
+    rows = ["sample_id,label,p_tornado,p_hail,p_wind,predicted"]
+    for sample_id, label, x in zip(samples.ids, samples.labels.tolist(), samples.data):
+        probs = forward(x, params, model_config)
+        p0, p1, p2 = (float(p) for p in probs)
+        rows.append(f"{sample_id},{label},{p0!r},{p1!r},{p2!r},{predict_class(probs)}")
     _write_run_log(cfg)
-    path = _out(cfg, "predictions.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("sample_id,label,p_tornado,p_hail,p_wind,predicted\n")
-        for sample_id, label, x in zip(samples.ids, samples.labels.tolist(), samples.data):
-            probs = forward(x, params, model_config)
-            p0, p1, p2 = (float(p) for p in probs)
-            fh.write(f"{sample_id},{label},{p0!r},{p1!r},{p2!r},"
-                     f"{predict_class(probs)}\n")
-    print(f"wrote probabilities for {len(samples)} samples -> {path}")
+    _write(cfg, "predictions.csv", rows)
+    print(f"wrote probabilities for {len(samples)} samples -> {_out(cfg, 'predictions.csv')}")
     return 0
 
 
@@ -186,8 +188,7 @@ def cmd_report(cfg, args):
                               " evaluate every classifier with one --positive-class")
     _write_run_log(cfg)
     table = render_table(reports)
-    with open(_out(cfg, "report.txt"), "w", newline="") as fh:
-        fh.write(table)
+    _write(cfg, "report.txt", table.splitlines())
     print(table, end="")
     return 0
 
@@ -248,6 +249,9 @@ def main(argv=None):
         return 3
     except StormError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # readers raise DataError instead, so a write failed
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

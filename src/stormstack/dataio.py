@@ -10,13 +10,14 @@ read through `_rows`, so each one reports a malformed row the same way.
 """
 
 import csv
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 
 from .config import model_config_lines, parse_model_config
 from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
-from .features import EventRecord, SequenceSet, SHSRVolume
+from .features import EventRecord, ScanBlock, SequenceSet
 from .metrics import LABELS, MetricsReport
 from .model import ModelConfig, expected_param_shapes
 from .tensor import Tensor
@@ -50,6 +51,9 @@ def _rows(path, fixed):
             header = next(reader, None)
             if header is None or header[:len(fixed)] != list(fixed):
                 raise ParseError(f"{path}: header must start with {','.join(fixed)}")
+            repeated = [name for name, count in Counter(header).items() if count > 1]
+            if repeated:
+                raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
             yield header, rows()
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
@@ -82,7 +86,7 @@ def write_sequences(path, samples):
     Rows for a sample are contiguous with t counting from 0.
     """
     channels = samples.data.shape[2]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "t", "label"] + [f"f_{j + 1}" for j in range(channels)])
         for sample_id, label, matrix in zip(samples.ids, samples.labels.tolist(), samples.data):
@@ -134,7 +138,7 @@ def save_checkpoint(params, config: ModelConfig, path):
     extra = [n for n in params if n not in expected]
     if missing or extra:
         raise UsageError(f"params do not match config (missing {missing}, unexpected {extra})")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
         for line in model_config_lines(config):
             fh.write(line + "\n")
@@ -215,7 +219,7 @@ def load_checkpoint(path):
 
 def write_events(path, events, channels):
     """One CSV row per event; auxiliary channels become named columns."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["event_id", "label", "latitude", "longitude", "timestamp"] + list(channels))
         for e in events:
@@ -249,35 +253,47 @@ def load_events(path):
     return events, channels
 
 
-def write_volumes(path, events, volumes):
-    """One CSV row per volume scan, grouped by event in event order."""
-    if len(events) != len(volumes):
-        raise UsageError(f"got {len(events)} events but {len(volumes)} volume lists")
-    dims = {v.dims for scans in volumes for v in scans}
+def write_volumes(path, events, scans):
+    """One CSV row per scan, in event order; scans[i] is the ScanBlock of events[i]."""
+    if len(events) != len(scans):
+        raise UsageError(f"got {len(events)} events but {len(scans)} scan blocks")
+    dims = {block.grids.shape[1:] for block in scans}
     if len(dims) > 1:
-        raise DimensionError(f"volumes disagree on grid dims: {sorted(dims)}")
+        raise DimensionError(f"scan blocks disagree on grid dims: {sorted(dims)}")
     nx, ny, nz = dims.pop() if dims else (0, 0, 0)
-    cells = nx * ny * nz
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["event_id", "timestamp", "nx", "ny", "nz", "missing"]
-                        + [f"v_{j + 1}" for j in range(cells)])
-        for e, scans in zip(events, volumes):
-            for v in scans:
-                writer.writerow([e.event_id, v.timestamp, nx, ny, nz, repr(float(v.missing))]
-                                + [repr(float(x)) for x in v.values])
+                        + [f"v_{j + 1}" for j in range(nx * ny * nz)])
+        for e, block in zip(events, scans):
+            for stamp, missing, grid in zip(block.timestamps, block.missing.tolist(), block.grids):
+                writer.writerow([e.event_id, stamp, nx, ny, nz, repr(missing)]
+                                + [repr(x) for x in grid.ravel().tolist()])
 
 
 def load_volumes(path):
-    """Returns {event_id: [SHSRVolume, ...]} preserving file order."""
+    """Returns {event_id: ScanBlock} in order of first appearance; the
+    rows of one event need not be adjacent and stack in file order.
+    Every row must carry the first row's grid dims."""
     with _rows(path, ("event_id", "timestamp", "nx", "ny", "nz", "missing")) as (_, rows):
-        volumes = {}
+        dims, scans = None, {}
         for _, fields in rows:
             numbers = _floats(fields[5:])
-            volumes.setdefault(fields[0], []).append(SHSRVolume(
-                dims=fields[2:5], values=numbers[1:], timestamp=int(fields[1]), missing=float(numbers[0]),
-            ))
-    return volumes
+            shape = tuple(int(d) for d in fields[2:5])
+            if min(shape) < 1:
+                raise ValidationError(f"dims must be three positive ints, got {shape}")
+            if np.prod(shape) != numbers.size - 1:
+                raise DimensionError(f"volume has {numbers.size - 1} cells,"
+                                     f" dims {shape} require {np.prod(shape)}")
+            dims = dims or shape
+            if shape != dims:
+                raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
+            scans.setdefault(fields[0], []).append((int(fields[1]), numbers))
+    for event_id, entries in scans.items():
+        stamps, numbers = zip(*entries)
+        table = np.array(numbers)
+        scans[event_id] = ScanBlock(stamps, table[:, 0], table[:, 1:].reshape(-1, *dims))
+    return scans
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +308,7 @@ _REPORT_FIELDS = (
 def write_report_csv(path, reports):
     """Machine-readable report: full-precision scores plus the flattened
     confusion matrix, one row per classifier."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_FIELDS)
         for rep in reports:

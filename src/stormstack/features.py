@@ -33,34 +33,20 @@ AUX_CHANNELS = (
 
 
 @dataclass(frozen=True)
-class SHSRVolume:
-    """One gridded reflectivity scan.
+class ScanBlock:
+    """One event's volume scans stacked: int64 timestamps (T,), float64
+    missing-value markers (T,) and float64 grids (T, nx, ny, nz)."""
 
-    values is the flattened (nx, ny, nz) grid in row-major order; cells
-    equal to `missing` are excluded from statistics.
-    """
-
-    dims: tuple
-    values: np.ndarray
-    timestamp: int
-    missing: float = MISSING
+    timestamps: np.ndarray
+    missing: np.ndarray
+    grids: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        object.__setattr__(self, "values", values)
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValidationError(f"dims must be three positive ints, got {self.dims}")
-        expected = dims[0] * dims[1] * dims[2]
-        if values.shape[0] != expected:
-            raise DimensionError(
-                f"volume has {values.shape[0]} cells, dims {dims} require {expected}"
-            )
-
-    def grid(self):
-        """The values reshaped to (nx, ny, nz)."""
-        return self.values.reshape(self.dims)
+        for name, dtype in (("timestamps", np.int64), ("missing", float), ("grids", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = (self.timestamps.shape, self.missing.shape, self.grids.shape)
+        if self.grids.ndim != 4 or not shapes[0] == shapes[1] == shapes[2][:1]:
+            raise DimensionError(f"scan block shapes {shapes} are not (T,), (T,), (T, nx, ny, nz)")
 
 
 @dataclass(frozen=True)
@@ -150,14 +136,15 @@ class DatasetSplit:
         return (len(self.train), len(self.validation), len(self.test))
 
 
-def extract_shsr_stats(volume: SHSRVolume, threshold: float = DEFAULT_THRESHOLD):
-    """Six statistics over the non-missing cells of one volume.
+def extract_shsr_stats(grid, threshold: float = DEFAULT_THRESHOLD, missing: float = MISSING):
+    """Six statistics over the cells of one scan's grid that are not `missing`.
 
     Returns (min, max, mean, variance, nonzero count, above-threshold
     count).  Variance is the population variance; the nonzero count
     uses |v| > 0 and the threshold count v > threshold, both strict.
     """
-    valid = volume.values[volume.values != volume.missing]
+    grid = np.asarray(grid, dtype=np.float64)
+    valid = grid[grid != missing]
     if valid.size == 0:
         raise ValidationError("volume has no non-missing cells")
     return (
@@ -172,7 +159,7 @@ def extract_shsr_stats(volume: SHSRVolume, threshold: float = DEFAULT_THRESHOLD)
 
 def build_sample(
     event: EventRecord,
-    volumes,
+    scans: ScanBlock,
     threshold: float = DEFAULT_THRESHOLD,
     channels=AUX_CHANNELS,
     kalman_q: float = None,
@@ -180,17 +167,16 @@ def build_sample(
 ):
     """Assemble the (T, 6 + len(channels)) feature matrix for one event.
 
-    Row t holds the statistics of volume t followed by the event's
+    Row t holds the statistics of scan t followed by the event's
     auxiliary channels in the configured order (auxiliary values repeat
-    across rows).  Volumes must be in strictly increasing timestamp
-    order and fall inside the hour before the event.  When kalman_q is
-    given, the six statistic channels are smoothed with the scalar
-    random-walk filter; auxiliary channels are constant and pass
-    through unchanged.
+    across rows).  Scans must be in strictly increasing timestamp order
+    and fall inside the hour before the event.  When kalman_q is given,
+    the six statistic channels are smoothed with the scalar random-walk
+    filter; auxiliary channels are constant and pass through unchanged.
     """
-    if len(volumes) == 0:
+    stamps = scans.timestamps.tolist()
+    if not stamps:
         raise ValidationError(f"event {event.event_id} has no volumes")
-    stamps = [v.timestamp for v in volumes]
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise ValidationError(f"event {event.event_id} volume timestamps must strictly increase")
     lo, hi = event.timestamp - 60, event.timestamp
@@ -206,11 +192,11 @@ def build_sample(
             f" (missing {missing}, unexpected {extra})"
         )
     stats = []
-    for v in volumes:
+    for stamp, marker, grid in zip(stamps, scans.missing, scans.grids):
         try:
-            stats.append(extract_shsr_stats(v, threshold))
+            stats.append(extract_shsr_stats(grid, threshold, marker))
         except ValidationError as exc:
-            raise ValidationError(f"event {event.event_id} scan at {v.timestamp}: {exc}") from None
+            raise ValidationError(f"event {event.event_id} scan at {stamp}: {exc}") from None
     stats = np.array(stats)
     if kalman_q is not None:
         stats = smooth_series(stats, kalman_q, kalman_r)

@@ -119,6 +119,13 @@ class ModelConfig:
     def feature_width(self):
         return recurrent_width(self.recurrent, self.lstm_hidden)
 
+    def check_shape(self, data, what):
+        """Refuse a nonempty (samples, steps, channels) stack whose
+        (steps, channels) differ from the model's."""
+        want = (self.steps, self.input_channels)
+        if len(data) and data.shape[1:] != want:
+            raise DimensionError(f"{what} has shape {data.shape[1:]}, the model expects {want}")
+
     def conv_steps(self):
         """Time steps surviving the conv stack; raises if a kernel is too long."""
         t = self.steps
@@ -343,13 +350,9 @@ def forward_batch(x, params, config: ModelConfig):
 
 def forward(sample, params, config: ModelConfig):
     """Class probabilities (3,) for one (steps, channels) sample."""
-    data = np.asarray(sample, dtype=np.float64)
-    if data.shape != (config.steps, config.input_channels):
-        raise DimensionError(
-            f"sample has shape {data.shape}, model expects"
-            f" ({config.steps}, {config.input_channels})"
-        )
-    probs = forward_batch(Tensor(data[np.newaxis]), params, config)
+    data = np.asarray(sample, dtype=np.float64)[np.newaxis]
+    config.check_shape(data, "sample")
+    probs = forward_batch(Tensor(data), params, config)
     return probs.array[0].copy()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .features import AUX_CHANNELS, EventRecord, SHSRVolume
+from .features import AUX_CHANNELS, MISSING, EventRecord, ScanBlock
 from .rng import SplitMix64, subseed
 
 # minutes since epoch, spring 2021-ish; events land a day apart
@@ -90,7 +90,8 @@ def _peak_path(cfg, label, noise):
 
 
 def generate_synthetic(cfg: SyntheticConfig):
-    """Build (events, volumes) where volumes[i] belongs to events[i].
+    """Build (events, scans) where the ScanBlock scans[i] holds the
+    cfg.steps volume scans of events[i].
 
     Events are emitted class-major (all tornado samples, then hail,
     then wind).  Each event consumes its own SplitMix64 stream seeded
@@ -100,10 +101,9 @@ def generate_synthetic(cfg: SyntheticConfig):
     """
     nx, ny, nz = cfg.grid
     ex, ey, ez = cfg.cell
-    cells = nx * ny * nz
     cadence = 60 // cfg.steps
     events = []
-    volumes = []
+    scans = []
     for index in range(3 * cfg.samples_per_class):
         label = index // cfg.samples_per_class
         rng = SplitMix64(subseed(cfg.seed, index))
@@ -114,7 +114,7 @@ def generate_synthetic(cfg: SyntheticConfig):
             rng.randbelow(nz - ez + 1),
         )
         drift = (rng.randbelow(3) - 1, rng.randbelow(3) - 1, rng.randbelow(3) - 1)
-        background = rng.normal_block(cfg.steps * cells)
+        background = rng.normal_block(cfg.steps * nx * ny * nz)
         latitude = 30.0 + 15.0 * rng.uniform()
         longitude = -105.0 + 20.0 * rng.uniform()
         aux = {}
@@ -128,20 +128,15 @@ def generate_synthetic(cfg: SyntheticConfig):
                 aux[channel] = means[label] + spread * rng.normal()
         timestamp = _BASE_TIMESTAMP + index * 1440
         base = cfg.base_dbz[label]
-        scans = []
-        for t in range(cfg.steps):
-            field = base + cfg.sigma * background[t * cells:(t + 1) * cells].reshape(nx, ny, nz)
-            np.clip(field, 0.0, None, out=field)
-            bump = max(0.0, path[t] - base)
-            x0 = min(max(corner[0] + t * drift[0], 0), nx - ex)
-            y0 = min(max(corner[1] + t * drift[1], 0), ny - ey)
-            z0 = min(max(corner[2] + t * drift[2], 0), nz - ez)
-            field[x0:x0 + ex, y0:y0 + ey, z0:z0 + ez] += bump
-            scans.append(SHSRVolume(
-                dims=cfg.grid,
-                values=field.ravel(),
-                timestamp=timestamp - 60 + cadence * t,
-            ))
+        grids = base + cfg.sigma * background.reshape(cfg.steps, nx, ny, nz)
+        np.clip(grids, 0.0, None, out=grids)
+        # the cell's corner drifts one step per scan, clamped inside the grid
+        corners = np.outer(np.arange(cfg.steps), drift) + corner
+        corners = np.clip(corners, 0, (nx - ex, ny - ey, nz - ez))
+        for t, (x0, y0, z0) in enumerate(corners.tolist()):
+            grids[t, x0:x0 + ex, y0:y0 + ey, z0:z0 + ez] += max(0.0, path[t] - base)
+        scans.append(ScanBlock(timestamp - 60 + cadence * np.arange(cfg.steps),
+                               np.full(cfg.steps, MISSING), grids))
         events.append(EventRecord(
             event_id=f"ev{index:05d}",
             label=label,
@@ -150,5 +145,4 @@ def generate_synthetic(cfg: SyntheticConfig):
             timestamp=timestamp,
             auxiliary=aux,
         ))
-        volumes.append(scans)
-    return events, volumes
+    return events, scans

@@ -106,11 +106,7 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
     for part, what in ((train_set, "training"), (val_set, "validation")):
         if len(part) == 0:
             raise UsageError(f"train needs a nonempty {what} set")
-        if part.data.shape[1:] != (model_config.steps, model_config.input_channels):
-            raise DimensionError(
-                f"{what} data shape {part.data.shape[1:]} does not match model config"
-                f" ({model_config.steps}, {model_config.input_channels})"
-            )
+        model_config.check_shape(part.data, f"the {what} set")
     x_train, y_train = train_set.data, train_set.labels
     params = init_params(model_config)
     best_params = params

@@ -15,7 +15,6 @@ import numpy as np
 from stormstack.config import RunConfig
 from stormstack import cli
 from stormstack.features import (
-    SHSRVolume,
     SequenceSet,
     balance,
     build_sample,
@@ -261,8 +260,7 @@ def test_metric_oracle():
 
 
 def test_feature_oracle():
-    fixture = extract_shsr_stats(SHSRVolume(dims=(2, 2, 1), values=[0.0, 0.0, 50.0, 10.0],
-                                            timestamp=0))
+    fixture = extract_shsr_stats(np.reshape([0.0, 0.0, 50.0, 10.0], (2, 2, 1)))
     fixture_ok = fixture == (0.0, 50.0, 15.0, 425.0, 2.0, 1.0)
 
     rng = np.random.default_rng(31)
@@ -275,8 +273,7 @@ def test_feature_oracle():
         if np.all(values == -999.0):
             values[0] = 12.5
         threshold = float(rng.uniform(0.0, 50.0))
-        vol = SHSRVolume(dims=dims, values=values, timestamp=0)
-        got = extract_shsr_stats(vol, threshold)
+        got = extract_shsr_stats(values.reshape(dims), threshold)
 
         kept = [v for v in values if v != -999.0]
         mean = sum(kept) / len(kept)

@@ -7,7 +7,10 @@ assert on the artifacts it left behind.
 
 import csv
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +349,86 @@ def test_volumes_for_unknown_events_are_data_error(pipeline, tmp_path, capsys):
     assert code == 2
     _one_data_error(capsys, "volumes for events not in events.csv ['ghost'] (of 1)")
     assert not (tmp_path / "train.csv").exists()
+
+
+def test_volumes_with_disagreeing_grid_dims_are_data_error(pipeline, tmp_path, capsys):
+    # 2x8x2 has the 32 cells of the run's 4x4x2 grid, so only the dims differ
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:2] + ["2", "8", "2"] + fields[5:])
+    (tmp_path / "volumes.csv").write_text("\n".join(lines))
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:3: grid dims (2, 8, 2)"
+                    " differ from the first row's (4, 4, 2)")
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_repeated_header_column_is_data_error(pipeline, tmp_path, capsys):
+    # a second `temperature` column would silently take humidity's values
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    text = (tmp_path / "events.csv").read_text()
+    (tmp_path / "events.csv").write_text(text.replace(",humidity,", ",temperature,", 1))
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, f"{tmp_path / 'events.csv'}: header repeats column 'temperature'")
+    assert not (tmp_path / "train.csv").exists()
+
+
+def test_refused_input_changes_no_file(pipeline, tmp_path, capsys):
+    # samples one step short of the checkpoint's: refused before any write
+    config, out = pipeline
+    _copy(out, tmp_path, "model.ckpt", "predictions.csv", "run_config.txt",
+          "metrics_model.csv", "metrics_model.txt")
+    lines = (out / "test.csv").read_text().splitlines()
+    short = [line for line in lines if line.split(",")[1] != "5"]
+    (tmp_path / "test.csv").write_text("\n".join(short) + "\n")
+    before = _snapshot(tmp_path)
+    run = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["predict", "--input", str(tmp_path / "test.csv")] + run) == 2
+    assert _snapshot(tmp_path) == before
+    _one_data_error(capsys, f"{tmp_path / 'test.csv'} has shape (5, 16), the model expects (6, 16)")
+    assert cli.main(["evaluate"] + run) == 2
+    assert _snapshot(tmp_path) == before
+    _one_data_error(capsys, f"{tmp_path / 'test.csv'} has shape (5, 16)")
+    # an empty input file is still legal
+    (tmp_path / "test.csv").write_text(lines[0] + "\n")
+    assert cli.main(["predict"] + run) == 0
+    assert (tmp_path / "predictions.csv").read_text() == (
+        "sample_id,label,p_tornado,p_hail,p_wind,predicted\n")
+
+
+def test_out_naming_a_file_is_one_line_error(pipeline, tmp_path, capsys):
+    config, _ = pipeline
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    assert cli.main(["generate", "--config", str(config), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert "File exists" in err and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(pipeline, tmp_path):
+    # a non-ASCII sample id reads as UTF-8 and must be written back as UTF-8
+    _, out = pipeline
+    lines = (out / "test.csv").read_text().splitlines()
+    first = lines[1].split(",")[0]
+    renamed = [("é" + line) if line.startswith(first + ",") else line for line in lines]
+    (tmp_path / "test.csv").write_text("\n".join(renamed) + "\n", encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "stormstack", "predict", "--checkpoint", str(out / "model.ckpt"),
+         "--input", str(tmp_path / "test.csv"), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    rows = (tmp_path / "run" / "predictions.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("é" + first + ",")
 
 
 def test_repeated_config_key_is_data_error(tmp_path, capsys):

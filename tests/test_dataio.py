@@ -21,7 +21,7 @@ from stormstack.errors import (
     UsageError,
     ValidationError,
 )
-from stormstack.features import AUX_CHANNELS, EventRecord, SequenceSet, SHSRVolume
+from stormstack.features import AUX_CHANNELS, EventRecord, ScanBlock, SequenceSet
 from stormstack.model import ModelConfig, forward, init_params
 from stormstack.tensor import Tensor
 
@@ -385,33 +385,51 @@ def test_events_reject_repeated_id(tmp_path):
     assert f"{path}:5: repeated event_id 'ev1'" in str(err.value)
 
 
-def _volume(values, timestamp):
-    return SHSRVolume(dims=(2, 1, 2), values=np.asarray(values, dtype=np.float64),
-                      timestamp=timestamp)
+def _scans(timestamps, *grids):
+    # one (2, 1, 2) grid per timestamp
+    return ScanBlock(timestamps, [-999.0] * len(timestamps),
+                     np.reshape(grids, (len(timestamps), 2, 1, 2)))
 
 
 def test_volumes_round_trip(tmp_path):
     path = tmp_path / "volumes.csv"
     events = _events(2)
-    volumes = [[_volume([1.0, 2.0, 3.0, 4.0], 950), _volume([5.0, 6.0, 7.0, 8.0], 960)],
-               [_volume([0.5, -999.0, 1.5, 2.5], 1050)]]
-    write_volumes(path, events, volumes)
+    scans = [_scans([950, 960], [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]),
+             _scans([1050], [0.5, -999.0, 1.5, 2.5])]
+    write_volumes(path, events, scans)
+    assert path.read_text().splitlines()[:2] == [
+        "event_id,timestamp,nx,ny,nz,missing,v_1,v_2,v_3,v_4",
+        "ev0,950,2,1,2,-999.0,1.0,2.0,3.0,4.0",
+    ]
     got = load_volumes(path)
-    assert set(got) == {"ev0", "ev1"}
-    assert [v.timestamp for v in got["ev0"]] == [950, 960]
-    for sent, loaded in zip(volumes[0], got["ev0"]):
-        assert loaded.dims == sent.dims
-        assert np.array_equal(loaded.values, sent.values)
-        assert loaded.missing == sent.missing
-    assert got["ev1"][0].values[1] == -999.0
+    assert list(got) == ["ev0", "ev1"]
+    assert got["ev0"].timestamps.tolist() == [950, 960]
+    for sent, loaded in zip(scans, got.values()):
+        assert loaded.grids.shape == sent.grids.shape
+        assert np.array_equal(loaded.grids, sent.grids)
+        assert np.array_equal(loaded.missing, sent.missing)
+    assert got["ev1"].grids[0, 0, 0, 1] == -999.0
+
+
+def test_volumes_of_one_event_need_not_be_adjacent(tmp_path):
+    path = tmp_path / "volumes.csv"
+    path.write_text("event_id,timestamp,nx,ny,nz,missing,v_1,v_2\n"
+                    "ev1,950,2,1,1,-999.0,1.0,2.0\n"
+                    "ev0,940,2,1,1,-1.0,3.0,4.0\n"
+                    "ev1,960,2,1,1,-2.0,5.0,6.0\n")
+    got = load_volumes(path)
+    assert list(got) == ["ev1", "ev0"]
+    assert got["ev1"].timestamps.tolist() == [950, 960]
+    assert got["ev1"].missing.tolist() == [-999.0, -2.0]
+    assert got["ev1"].grids.tolist() == [[[[1.0]], [[2.0]]], [[[5.0]], [[6.0]]]]
+    assert got["ev0"].grids.shape == (1, 2, 1, 1)
 
 
 def test_volumes_validation(tmp_path):
     path = tmp_path / "volumes.csv"
     with pytest.raises(UsageError):
-        write_volumes(path, _events(2), [[]])
-    ragged = [[_volume([1, 2, 3, 4], 950)],
-              [SHSRVolume(dims=(1, 1, 4), values=np.zeros(4), timestamp=950)]]
+        write_volumes(path, _events(2), [_scans([950], [1, 2, 3, 4])])
+    ragged = [_scans([950], [1, 2, 3, 4]), ScanBlock([950], [-999.0], np.zeros((1, 1, 1, 4)))]
     with pytest.raises(DimensionError):
         write_volumes(path, _events(2), ragged)
     path.write_text("event_id,timestamp\n")

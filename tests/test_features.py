@@ -9,7 +9,7 @@ from stormstack.features import (
     DEFAULT_THRESHOLD,
     MISSING,
     EventRecord,
-    SHSRVolume,
+    ScanBlock,
     SequenceSet,
     balance,
     build_sample,
@@ -20,9 +20,10 @@ from stormstack.features import (
 from stormstack.kalman import smooth_series
 
 
-def _volume(values, timestamp=0, missing=MISSING):
-    return SHSRVolume(dims=(1, 1, len(values)), values=np.asarray(values, dtype=np.float64),
-                      timestamp=timestamp, missing=missing)
+def _scans(timestamps, *grids):
+    # one (1, 1, cells) grid per timestamp, all cells present
+    grids = np.asarray(grids, dtype=np.float64).reshape(len(timestamps), 1, 1, -1)
+    return ScanBlock(timestamps, [MISSING] * len(timestamps), grids)
 
 
 def _aux(value=1.0):
@@ -35,12 +36,19 @@ def _event(label=0, timestamp=100, aux=None):
 
 
 def test_volume_validation():
-    v = _volume([1.0, 2.0, 3.0])
-    assert v.grid().shape == (1, 1, 3)
-    with pytest.raises(ValidationError):
-        SHSRVolume(dims=(0, 1, 1), values=np.zeros(0), timestamp=0)
-    with pytest.raises(Exception):
-        SHSRVolume(dims=(2, 2, 2), values=np.zeros(7), timestamp=0)
+    # a ScanBlock converts its three arrays and refuses mismatched lengths
+    block = ScanBlock([40, 70], [MISSING, -1.0], np.zeros((2, 3, 2, 1)))
+    assert block.timestamps.dtype == np.int64 and block.timestamps.tolist() == [40, 70]
+    assert block.missing.dtype == np.float64 and block.missing.tolist() == [MISSING, -1.0]
+    assert block.grids.dtype == np.float64 and block.grids.shape[1:] == (3, 2, 1)
+    for timestamps, missing, grids in (
+        ([40], [MISSING, MISSING], np.zeros((2, 1, 1, 1))),
+        ([40, 70], [MISSING], np.zeros((2, 1, 1, 1))),
+        ([40, 70], [MISSING, MISSING], np.zeros((3, 1, 1, 1))),
+        ([40], [MISSING], np.zeros((1, 4))),
+    ):
+        with pytest.raises(DimensionError):
+            ScanBlock(timestamps, missing, grids)
 
 
 def test_event_validation():
@@ -55,35 +63,35 @@ def test_event_validation():
 
 
 def test_stats_fixture():
-    got = extract_shsr_stats(_volume([0.0, 0.0, 50.0, 10.0]))
+    got = extract_shsr_stats([0.0, 0.0, 50.0, 10.0])
     assert got == (0.0, 50.0, 15.0, 425.0, 2.0, 1.0)
 
 
 def test_stats_constant_volume():
-    got = extract_shsr_stats(_volume([7.0] * 6))
+    got = extract_shsr_stats([7.0] * 6)
     assert got == (7.0, 7.0, 7.0, 0.0, 6.0, 0.0)
-    zeros = extract_shsr_stats(_volume([0.0] * 4))
+    zeros = extract_shsr_stats([0.0] * 4)
     assert zeros == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_stats_thresholds_are_strict():
     # exactly 45 is not above the threshold; exactly 0 is not nonzero;
     # negative values do count as nonzero
-    got = extract_shsr_stats(_volume([45.0, 45.0000001, -3.0, 0.0]))
+    got = extract_shsr_stats([45.0, 45.0000001, -3.0, 0.0])
     assert got[5] == 1.0
     assert got[4] == 3.0
 
 
 def test_stats_ignore_missing_cells():
-    plain = extract_shsr_stats(_volume([1.0, 2.0, 30.0]))
-    holed = extract_shsr_stats(_volume([1.0, MISSING, 2.0, MISSING, 30.0]))
+    plain = extract_shsr_stats([1.0, 2.0, 30.0])
+    holed = extract_shsr_stats([1.0, MISSING, 2.0, MISSING, 30.0])
     assert plain == holed
     with pytest.raises(ValidationError):
-        extract_shsr_stats(_volume([MISSING, MISSING]))
+        extract_shsr_stats([MISSING, MISSING])
 
 
 def test_stats_custom_missing_marker():
-    got = extract_shsr_stats(_volume([5.0, -1.0, 9.0], missing=-1.0))
+    got = extract_shsr_stats([5.0, -1.0, 9.0], missing=-1.0)
     assert got[0] == 5.0 and got[4] == 2.0
 
 
@@ -96,7 +104,7 @@ def test_stats_match_brute_force():
         if (values == MISSING).all():
             values[0] = 12.0
         thr = float(rng.uniform(20.0, 50.0))
-        got = extract_shsr_stats(_volume(values), thr)
+        got = extract_shsr_stats(values, thr)
         valid = [v for v in values if v != MISSING]
         mean = sum(valid) / len(valid)
         var = sum((v - mean) ** 2 for v in valid) / len(valid)
@@ -108,8 +116,7 @@ def test_stats_match_brute_force():
 
 
 def test_build_sample_shape_and_order():
-    vols = [_volume([0.0, 0.0, 50.0, 10.0], timestamp=40),
-            _volume([5.0, 5.0, 5.0, 5.0], timestamp=70)]
+    vols = _scans([40, 70], [0.0, 0.0, 50.0, 10.0], [5.0, 5.0, 5.0, 5.0])
     sample = build_sample(_event(label=1), vols)
     assert sample.shape == (2, 6 + len(AUX_CHANNELS))
     assert tuple(sample[0, :6]) == (0.0, 50.0, 15.0, 425.0, 2.0, 1.0)
@@ -123,44 +130,43 @@ def test_build_sample_shape_and_order():
 
 def test_build_sample_window_edges():
     # first scan may sit exactly at t-60; the event minute itself is out
-    vols = [_volume([1.0], timestamp=40), _volume([1.0], timestamp=99)]
-    build_sample(_event(timestamp=100), vols)
+    build_sample(_event(timestamp=100), _scans([40, 99], [1.0], [1.0]))
     with pytest.raises(ValidationError):
-        build_sample(_event(timestamp=100), [_volume([1.0], timestamp=100)])
+        build_sample(_event(timestamp=100), _scans([100], [1.0]))
     with pytest.raises(ValidationError):
-        build_sample(_event(timestamp=100), [_volume([1.0], timestamp=39)])
+        build_sample(_event(timestamp=100), _scans([39], [1.0]))
 
 
 def test_build_sample_rejects_bad_volume_order():
     with pytest.raises(ValidationError):
-        build_sample(_event(), [_volume([1.0], timestamp=50), _volume([1.0], timestamp=50)])
+        build_sample(_event(), _scans([50, 50], [1.0], [1.0]))
     with pytest.raises(ValidationError):
-        build_sample(_event(), [_volume([1.0], timestamp=60), _volume([1.0], timestamp=50)])
+        build_sample(_event(), _scans([60, 50], [1.0], [1.0]))
     with pytest.raises(ValidationError):
-        build_sample(_event(), [])
+        build_sample(_event(), ScanBlock([], [], np.zeros((0, 1, 1, 1))))
 
 
 def test_build_sample_rejects_channel_mismatch():
     aux = _aux()
     del aux["pressure"]
     with pytest.raises(ValidationError):
-        build_sample(_event(aux=aux), [_volume([1.0], timestamp=50)])
+        build_sample(_event(aux=aux), _scans([50], [1.0]))
     aux = _aux()
     aux["sunshine"] = 1.0
     with pytest.raises(ValidationError):
-        build_sample(_event(aux=aux), [_volume([1.0], timestamp=50)])
+        build_sample(_event(aux=aux), _scans([50], [1.0]))
 
 
 def test_build_sample_smooths_only_stats():
     rng = np.random.default_rng(8)
-    vols = [_volume(rng.uniform(0, 60, size=8), timestamp=40 + t) for t in range(12)]
+    vols = _scans(range(40, 52), *rng.uniform(0, 60, size=(12, 8)))
     raw = build_sample(_event(), vols)
     smoothed = build_sample(_event(), vols, kalman_q=0.01, kalman_r=1.0)
     want = smooth_series(raw[:, :6], 0.01, 1.0)
     assert np.array_equal(smoothed[:, :6], want)
     assert np.array_equal(smoothed[:, 6:], raw[:, 6:])
     # identical scans are a fixed point of the smoother
-    same = [_volume([3.0, 9.0], timestamp=40 + t) for t in range(5)]
+    same = _scans(range(40, 45), *[[3.0, 9.0]] * 5)
     assert np.array_equal(build_sample(_event(), same, kalman_q=0.5),
                           build_sample(_event(), same))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stormstack.errors import ValidationError
-from stormstack.features import AUX_CHANNELS, SequenceSet, build_sample, split
+from stormstack.features import AUX_CHANNELS, MISSING, SequenceSet, build_sample, split
 from stormstack.model import KNNClassifier
 from stormstack.rng import SplitMix64, subseed
 from stormstack.synthetic import SyntheticConfig, generate_synthetic
@@ -24,10 +24,9 @@ def test_shapes_and_class_major_order():
     assert [e.label for e in events] == [0] * 4 + [1] * 4 + [2] * 4
     assert [e.event_id for e in events] == [f"ev{i:05d}" for i in range(12)]
     for scans in volumes:
-        assert len(scans) == cfg.steps
-        for v in scans:
-            assert v.dims == cfg.grid
-            assert v.values.shape == (4 * 4 * 2,)
+        assert scans.timestamps.shape == (cfg.steps,)
+        assert scans.grids.shape == (cfg.steps,) + cfg.grid
+        assert np.all(scans.missing == MISSING)
 
 
 def test_timestamps_day_apart_with_hourly_scan_window():
@@ -37,11 +36,11 @@ def test_timestamps_day_apart_with_hourly_scan_window():
     assert all(b - a == 1440 for a, b in zip(stamps, stamps[1:]))
     cadence = 60 // cfg.steps
     for e, scans in zip(events, volumes):
-        assert [v.timestamp for v in scans] == [e.timestamp - 60 + cadence * t
-                                                for t in range(cfg.steps)]
+        assert scans.timestamps.tolist() == [e.timestamp - 60 + cadence * t
+                                             for t in range(cfg.steps)]
         # every scan falls inside the (ts - 60, ts] hour the feature
         # builder windows on
-        assert all(e.timestamp - 60 <= v.timestamp < e.timestamp for v in scans)
+        assert all(e.timestamp - 60 <= stamp < e.timestamp for stamp in scans.timestamps)
 
 
 def test_same_seed_is_bit_identical():
@@ -49,9 +48,8 @@ def test_same_seed_is_bit_identical():
     events_b, volumes_b = generate_synthetic(_tiny())
     assert events_a == events_b
     for scans_a, scans_b in zip(volumes_a, volumes_b):
-        for va, vb in zip(scans_a, scans_b):
-            assert va.timestamp == vb.timestamp
-            assert np.array_equal(va.values, vb.values)
+        assert np.array_equal(scans_a.timestamps, scans_b.timestamps)
+        assert np.array_equal(scans_a.grids, scans_b.grids)
 
 
 def test_different_seeds_differ():
@@ -67,9 +65,8 @@ def test_events_at_shared_indices_survive_sample_count_changes():
     large_events, large_volumes = generate_synthetic(_tiny(samples_per_class=3))
     for i in (0, 1):
         assert small_events[i] == large_events[i]
-        for va, vb in zip(small_volumes[i], large_volumes[i]):
-            assert va.timestamp == vb.timestamp
-            assert np.array_equal(va.values, vb.values)
+        assert np.array_equal(small_volumes[i].timestamps, large_volumes[i].timestamps)
+        assert np.array_equal(small_volumes[i].grids, large_volumes[i].grids)
 
 
 def test_generator_replays_from_documented_draw_order():
@@ -101,14 +98,14 @@ def test_generator_replays_from_documented_draw_order():
             path[t] = mean + cfg.rho * (path[t - 1] - mean) + innovation * noise[t]
 
         base = cfg.base_dbz[label]
-        for t, v in enumerate(scans):
+        for t, grid in enumerate(scans.grids):
             field = base + cfg.sigma * background[t * cells:(t + 1) * cells].reshape(nx, ny, nz)
             np.clip(field, 0.0, None, out=field)
             x0 = min(max(corner[0] + t * drift[0], 0), nx - ex)
             y0 = min(max(corner[1] + t * drift[1], 0), ny - ey)
             z0 = min(max(corner[2] + t * drift[2], 0), nz - ez)
             field[x0:x0 + ex, y0:y0 + ey, z0:z0 + ez] += max(0.0, path[t] - base)
-            assert np.array_equal(v.values, field.ravel())
+            assert np.array_equal(grid, field)
 
 
 def test_zero_sigma_low_peak_gives_constant_fields():
@@ -116,8 +113,7 @@ def test_zero_sigma_low_peak_gives_constant_fields():
     events, volumes = generate_synthetic(cfg)
     for event, scans in zip(events, volumes):
         base = cfg.base_dbz[event.label]
-        for v in scans:
-            assert np.all(v.values == base)
+        assert np.all(scans.grids == base)
 
 
 def test_zero_sigma_puts_exact_cell_block_over_threshold():
@@ -130,11 +126,11 @@ def test_zero_sigma_puts_exact_cell_block_over_threshold():
     for event, scans in zip(events, volumes):
         base = cfg.base_dbz[event.label]
         peak = cfg.peak_dbz[event.label]
-        for v in scans:
-            assert set(np.unique(v.values)) == {base, peak}
-            assert np.sum(v.values == peak) == block
+        for grid in scans.grids:
+            assert set(np.unique(grid)) == {base, peak}
+            assert np.sum(grid == peak) == block
             expected_above = block if peak > 45.0 else 0
-            assert np.sum(v.values > 45.0) == expected_above
+            assert np.sum(grid > 45.0) == expected_above
 
 
 def test_above_threshold_fraction_orders_the_classes():
@@ -142,8 +138,8 @@ def test_above_threshold_fraction_orders_the_classes():
     events, volumes = generate_synthetic(cfg)
     fracs = {0: [], 1: [], 2: []}
     for event, scans in zip(events, volumes):
-        for v in scans:
-            fracs[event.label].append(np.mean(v.values > 45.0))
+        for grid in scans.grids:
+            fracs[event.label].append(np.mean(grid > 45.0))
     tornado, hail, wind = (np.mean(fracs[c]) for c in (0, 1, 2))
     assert tornado > hail > wind
 
