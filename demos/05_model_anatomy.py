@@ -31,10 +31,10 @@ print(f"total parameters: {total}")
 print()
 print("== a forward pass ==")
 rng = np.random.default_rng(6)
-sample = rng.standard_normal((8, 5))
-probs = forward(sample, params, config)
-print("class probabilities:", np.round(probs, 4), " sum:", float(np.sum(probs)))
-print("predicted class:", predict_class(probs))
+samples = rng.standard_normal((1, 8, 5))  # forward scores a stack of samples
+probs = forward(samples, params, config)
+print("class probabilities:", np.round(probs[0], 4), " sum:", float(np.sum(probs[0])))
+print("predicted class:", int(predict_class(probs)[0]))
 
 print()
 print("== attention in two sentences ==")

@@ -44,7 +44,7 @@ print("epoch  train_loss  val_loss  val_acc")
 for epoch, train_loss, val_loss, val_acc in log:
     print(f"{epoch:<6d} {train_loss:10.4f} {val_loss:9.4f} {val_acc:8.3f}")
 
-model_report = evaluate(lambda x: predict_class(forward(x, params, model_config)),
+model_report = evaluate(lambda data: predict_class(forward(data, params, model_config)),
                         parts.test, positive=0, name="Conv-BiLSTM-attention")
 knn_report = evaluate(KNNClassifier(k=run.knn_k).fit(parts.train).predict,
                       parts.test, positive=0, name="KNN")

@@ -103,8 +103,8 @@ def _fit(cfg, train_set, val_set, **variant):
 
 
 def _classifier(params, model_config):
-    def classify(sample):
-        return predict_class(forward(sample, params, model_config))
+    def classify(data):
+        return predict_class(forward(data, params, model_config))
     return classify
 
 
@@ -122,8 +122,7 @@ def cmd_train(cfg, args):
     return 0
 
 
-def _write_evaluation(cfg, slug, classify, test_set, positive):
-    report = evaluate(classify, test_set, positive, _CLASSIFIERS[slug])
+def _write_evaluation(cfg, slug, report):
     dataio.write_report_csv(_out(cfg, f"metrics_{slug}.csv"), [report])
     _write(cfg, f"metrics_{slug}.txt", [format_metrics_row(report.name, report)])
     print(format_metrics_row(report.name, report))
@@ -135,16 +134,18 @@ def cmd_evaluate(cfg, args):
     unknown = [b for b in requested if b not in BASELINES]
     if unknown:
         raise UsageError(f"unknown baselines {unknown}; choose from {list(BASELINES)}")
+    # every input is read before any write; the model is scored before the
+    # training splits load, so its chunk buffers do not add to their memory
     test_set = _load_split(cfg, "test")
     positive = args.positive_class
     params, model_config = dataio.load_checkpoint(_out(cfg, "model.ckpt"))
-    model_config.check_shape(test_set.data, _out(cfg, "test.csv"))  # before any write
+    model_config.check_shape(test_set.data, _out(cfg, "test.csv"))
+    report = evaluate(_classifier(params, model_config), test_set, positive, MODEL_NAME)
+    if requested:
+        train_set = _load_split(cfg, "train")
+        val_set = _load_split(cfg, "val")
     _write_run_log(cfg)
-    _write_evaluation(cfg, "model", _classifier(params, model_config), test_set, positive)
-    if not requested:
-        return 0
-    train_set = _load_split(cfg, "train")
-    val_set = _load_split(cfg, "val")
+    _write_evaluation(cfg, "model", report)
     for slug in requested:
         if slug == "knn":
             classify = KNNClassifier(k=cfg.knn_k).fit(train_set).predict
@@ -152,7 +153,7 @@ def cmd_evaluate(cfg, args):
             variant_params, variant_config, _ = _fit(cfg, train_set, val_set,
                                                      recurrent=slug, attention=False)
             classify = _classifier(variant_params, variant_config)
-        _write_evaluation(cfg, slug, classify, test_set, positive)
+        _write_evaluation(cfg, slug, evaluate(classify, test_set, positive, _CLASSIFIERS[slug]))
     return 0
 
 
@@ -163,13 +164,10 @@ def cmd_predict(cfg, args):
     samples = dataio.load_sequences(source)
     model_config.check_shape(samples.data, source)
     # every sample is scored before any file is written
-    rows = ["sample_id,label,p_tornado,p_hail,p_wind,predicted"]
-    for sample_id, label, x in zip(samples.ids, samples.labels.tolist(), samples.data):
-        probs = forward(x, params, model_config)
-        p0, p1, p2 = (float(p) for p in probs)
-        rows.append(f"{sample_id},{label},{p0!r},{p1!r},{p2!r},{predict_class(probs)}")
+    probs = forward(samples.data, params, model_config)
+    predicted = predict_class(probs)
     _write_run_log(cfg)
-    _write(cfg, "predictions.csv", rows)
+    dataio.write_predictions(_out(cfg, "predictions.csv"), samples, probs, predicted)
     print(f"wrote probabilities for {len(samples)} samples -> {_out(cfg, 'predictions.csv')}")
     return 0
 

@@ -1,5 +1,6 @@
 """File formats: sequence datasets, model checkpoints, evaluation
-reports, and the raw event/volume files the generator writes.
+reports, predictions, and the raw event/volume files the generator
+writes.
 
 Everything is plain UTF-8 text with `\n` line endings, except that
 `metrics_*.csv` rows end in `\r\n` (the csv module's default, kept so
@@ -92,6 +93,18 @@ def write_sequences(path, samples):
         for sample_id, label, matrix in zip(samples.ids, samples.labels.tolist(), samples.data):
             for t, row in enumerate(matrix.tolist()):
                 writer.writerow([sample_id, t, label] + [repr(v) for v in row])
+
+
+def write_predictions(path, samples, probs, predicted):
+    """Write predictions.csv: sample_id,label,p_tornado,p_hail,p_wind,predicted,
+    one row per sample of the SequenceSet, from (N, 3) probabilities and
+    (N,) predicted labels."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "label", "p_tornado", "p_hail", "p_wind", "predicted"])
+        for sample_id, label, p, cls in zip(samples.ids, samples.labels.tolist(),
+                                            probs.tolist(), predicted.tolist()):
+            writer.writerow([sample_id, label, *map(repr, p), cls])
 
 
 def load_sequences(path):

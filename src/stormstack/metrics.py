@@ -94,11 +94,11 @@ def multiclass_accuracy(cm):
 
 
 def evaluate(classify, test_set, positive: int = 0, name: str = "model") -> MetricsReport:
-    """Score a classifier ((steps, channels) matrix -> label callable)
-    on a SequenceSet."""
+    """Score a classifier on a SequenceSet.  classify maps the whole
+    (N, steps, channels) stack to N labels in one call."""
     if len(test_set) == 0:
         raise UsageError("evaluate needs a nonempty test set")
-    cm = confusion([classify(x) for x in test_set.data], test_set.labels.tolist())
+    cm = confusion(np.asarray(classify(test_set.data)).tolist(), test_set.labels.tolist())
     precision, recall, f1, accuracy = metrics(cm, positive)
     per_class = [metrics(cm, c) for c in LABELS]
     return MetricsReport(

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, UsageError, ValidationError
 from .rng import SplitMix64
 from .tensor import (
+    RowInvariant,
     Tensor,
     bias_add,
     channel_affine,
@@ -38,6 +39,10 @@ from .tensor import (
 
 RECURRENT_KINDS = ("bilstm", "lstm", "rnn")
 _GATES = ("f", "i", "c", "o")
+# samples per forward_batch call when forward scores a stack; each row
+# of a chunk holds about 40 KB of activations at the default shape, and
+# 16 keeps peak memory level with scoring one sample per call
+CHUNK = 16
 
 
 def recurrent_width(recurrent, lstm_hidden):
@@ -318,7 +323,7 @@ def forward_batch(x, params, config: ModelConfig):
     """Forward pass on a (B, T, D) tensor; returns (B, 3) probabilities.
 
     This is the graph-recording path the trainer differentiates;
-    forward below feeds it single samples.
+    forward below feeds it fixed-size chunks.
     """
     if x.ndim != 3:
         raise DimensionError(f"forward_batch expects (batch, steps, channels), got {x.shape}")
@@ -348,22 +353,34 @@ def forward_batch(x, params, config: ModelConfig):
     return softmax(logits)
 
 
-def forward(sample, params, config: ModelConfig):
-    """Class probabilities (3,) for one (steps, channels) sample."""
-    data = np.asarray(sample, dtype=np.float64)[np.newaxis]
-    config.check_shape(data, "sample")
-    probs = forward_batch(Tensor(data), params, config)
-    return probs.array[0].copy()
+def forward(data, params, config: ModelConfig):
+    """Class probabilities (N, 3) for an (N, steps, channels) stack.
+
+    The stack is scored CHUNK rows per forward_batch call inside
+    RowInvariant, so each row's probabilities have the bits of that
+    row scored alone, whatever else is in the stack.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise DimensionError(f"forward expects (samples, steps, channels), got {data.shape}")
+    config.check_shape(data, "input")
+    probs = np.empty((len(data), config.classes))
+    with RowInvariant():
+        for start in range(0, len(data), CHUNK):
+            chunk = Tensor(data[start:start + CHUNK])
+            probs[start:start + CHUNK] = forward_batch(chunk, params, config).array
+    return probs
 
 
 def predict_class(probs):
-    """Index of the largest probability; ties go to the smallest index."""
+    """Per row of an (N, 3) probability block, the index of the largest
+    probability as int64 (N,); ties go to the smallest index."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (3,):
-        raise UsageError(f"predict_class expects three probabilities, got shape {probs.shape}")
+    if probs.ndim != 2 or probs.shape[1] != 3:
+        raise UsageError(f"predict_class expects (samples, 3) probabilities, got shape {probs.shape}")
     if not np.isfinite(probs).all():
         raise UsageError("predict_class got non-finite probabilities")
-    return int(np.argmax(probs))
+    return np.argmax(probs, axis=1)
 
 
 class KNNClassifier:
@@ -399,16 +416,20 @@ class KNNClassifier:
         self._labels = samples.labels
         return self
 
-    def predict(self, sample):
+    def predict(self, data):
+        """Labels, int64 (N,), for an (N, steps, channels) block of
+        queries, each scored against the training set on its own."""
         if self._x is None:
             raise UsageError("KNNClassifier.predict called before fit")
-        flat = np.asarray(sample, dtype=np.float64).ravel()
-        if flat.shape[0] != self._x.shape[1]:
+        data = np.asarray(data, dtype=np.float64)
+        features = self._x.shape[1]
+        if data.ndim != 3 or data.shape[1] * data.shape[2] != features:
             raise DimensionError(
-                f"query has {flat.shape[0]} features, training set has {self._x.shape[1]}"
+                f"queries have shape {data.shape}, training set has {features} features per sample"
             )
-        q = (flat - self._mean) / self._scale
-        dists = np.sqrt(((self._x - q) ** 2).sum(axis=1))
-        nearest = np.argsort(dists, kind="stable")[: self.k]
-        votes = np.bincount(self._labels[nearest], minlength=3)
-        return int(np.argmax(votes))
+        labels = np.empty(len(data), dtype=np.int64)
+        for i, q in enumerate((data.reshape(len(data), features) - self._mean) / self._scale):
+            dists = np.sqrt(((self._x - q) ** 2).sum(axis=1))
+            nearest = np.argsort(dists, kind="stable")[: self.k]
+            labels[i] = np.argmax(np.bincount(self._labels[nearest], minlength=3))
+        return labels

@@ -99,6 +99,30 @@ def _active():
     return _graph_stack[-1] if _graph_stack else None
 
 
+class RowInvariant:
+    """Scope in which every 2-D matmul runs as a stack of one-row
+    products, ``np.matmul(a[:, None, :], b)[:, 0, :]``.
+
+    A plain GEMM's blocking, and so its rounding, depends on how many
+    rows it multiplies; a stack of one-row products gives each output
+    row the bits it has when that row is multiplied alone.  Inference
+    enters this scope so a sample's probabilities do not depend on the
+    other samples scored with it.  Training never does.
+    """
+
+    def __enter__(self):
+        _row_scopes.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = _row_scopes.pop()
+        assert popped is self
+        return False
+
+
+_row_scopes = []
+
+
 def _emit(values, inputs, backward_fn):
     out = Tensor(values, _checked=True)
     g = _active()
@@ -144,7 +168,8 @@ def backward(graph: Graph, loss: Tensor) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.  2D x 2D, batched x 2D, or batched x batched with
-    identical leading dimensions.
+    identical leading dimensions.  Inside RowInvariant a 2D x 2D
+    product runs row by row.
     """
     av, bv = a.array, b.array
     ok = (
@@ -155,7 +180,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
     if not ok:
         raise DimensionError(f"matmul shapes incompatible: {av.shape} @ {bv.shape}")
-    values = _finite_or_raise(np.matmul(av, bv), "matmul")
+    if _row_scopes and av.ndim == 2:
+        values = np.matmul(av[:, None, :], bv)[:, 0, :]
+    else:
+        values = np.matmul(av, bv)
+    _finite_or_raise(values, "matmul")
 
     def bwd(g):
         da = np.matmul(g, np.swapaxes(bv, -1, -2))

@@ -305,7 +305,7 @@ def test_end_to_end_learnability():
     params, _ = train(parts.train, parts.validation, model_config, run.train_config())
 
     model_report = evaluate(
-        lambda s: predict_class(forward(s, params, model_config)),
+        lambda data: predict_class(forward(data, params, model_config)),
         parts.test, positive=0, name="model")
     knn_report = evaluate(KNNClassifier(k=run.knn_k).fit(parts.train).predict,
                           parts.test, positive=0, name="knn")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from stormstack import cli
+from stormstack import cli, model
 from stormstack.config import RunConfig, parse_config_file, resolve, resolved_lines
 from stormstack.errors import ParseError, UsageError
 
@@ -142,6 +142,40 @@ def test_predict_honours_checkpoint_and_input_flags(pipeline, tmp_path):
     assert len(rows) == 1 + 3
 
 
+def test_predictions_quote_sample_ids(pipeline, tmp_path):
+    # an id holding the delimiter round-trips instead of adding a field
+    _, out = pipeline
+    rows = _rows(out / "test.csv")
+    first = rows[1][0]
+    for row in rows[1:]:
+        if row[0] == first:
+            row[0] = "ev00004,x"
+    with open(tmp_path / "quoted.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    code = cli.main(["predict", "--out", str(tmp_path), "--checkpoint", str(out / "model.ckpt"),
+                     "--input", str(tmp_path / "quoted.csv")])
+    assert code == 0
+    predictions = _rows(tmp_path / "predictions.csv")
+    assert {len(row) for row in predictions} == {6}
+    assert [row[0] for row in predictions[1:3]] == ["ev00004,x", rows[7][0]]
+    assert predictions[1][1:] == _rows(out / "predictions.csv")[1][1:]
+
+
+def test_header_only_input_scores_no_chunk(pipeline, tmp_path, monkeypatch):
+    _, out = pipeline
+    header = (out / "test.csv").read_text().splitlines()[0]
+    (tmp_path / "empty.csv").write_text(header + "\n")
+    calls = []
+    real = model.forward_batch
+    monkeypatch.setattr(model, "forward_batch", lambda *a: calls.append(a) or real(*a))
+    code = cli.main(["predict", "--out", str(tmp_path), "--checkpoint", str(out / "model.ckpt"),
+                     "--input", str(tmp_path / "empty.csv")])
+    assert code == 0
+    assert calls == []
+    assert (tmp_path / "predictions.csv").read_text() == (
+        "sample_id,label,p_tornado,p_hail,p_wind,predicted\n")
+
+
 def test_unknown_baseline_is_usage_error(pipeline, capsys):
     config, out = pipeline
     code = cli.main(["evaluate", "--baselines", "svm",
@@ -237,6 +271,22 @@ def test_malformed_config_value_is_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{config}:2: bad value" in err
         assert err.count("\n") == 1
+
+
+def test_refused_baseline_input_changes_no_file(pipeline, tmp_path, capsys):
+    # a bad train.csv is found before run_config.txt or metrics_model.* is rewritten
+    config, out = pipeline
+    _copy(out, tmp_path, "test.csv", "val.csv", "model.ckpt", "run_config.txt",
+          "metrics_model.csv", "metrics_model.txt")
+    lines = (out / "train.csv").read_text().split("\n")
+    lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+    (tmp_path / "train.csv").write_text("\n".join(lines))
+    before = _snapshot(tmp_path)
+    code = cli.main(["evaluate", "--baselines", "knn", "--config", str(config),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, f"{tmp_path / 'train.csv'}:3: non-finite value nan")
+    assert _snapshot(tmp_path) == before
 
 
 def _one_data_error(capsys, *needles):

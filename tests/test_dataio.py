@@ -205,10 +205,8 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path):
     params = init_params(TINY)
     save_checkpoint(params, TINY, path)
     loaded_params, loaded_config = load_checkpoint(path)
-    rng = np.random.default_rng(92)
-    for _ in range(5):
-        x = rng.standard_normal((4, 2)) * 3.0
-        assert np.array_equal(forward(x, params, TINY), forward(x, loaded_params, loaded_config))
+    x = np.random.default_rng(92).standard_normal((5, 4, 2)) * 3.0
+    assert np.array_equal(forward(x, params, TINY), forward(x, loaded_params, loaded_config))
 
 
 def test_checkpoint_rejects_bad_header(tmp_path):

@@ -121,17 +121,17 @@ def test_format_metrics_row():
 def test_evaluate():
     samples = SequenceSet([f"e{i}" for i in range(9)], [i % 3 for i in range(9)],
                           [[[float(i % 3)]] for i in range(9)])
-    report = evaluate(lambda x: int(x[0, 0]), samples, positive=1, name="oracle")
+    report = evaluate(lambda data: data[:, 0, 0].astype(np.int64), samples, positive=1, name="oracle")
     assert report.name == "oracle"
     assert report.positive_class == 1
     assert report.row() == (1.0, 1.0, 1.0, 1.0)
     assert np.array_equal(report.confusion, np.eye(3, dtype=np.int64) * 3)
     assert report.macro_f1 == 1.0
-    constant = evaluate(lambda s: 0, samples)
+    constant = evaluate(lambda data: np.zeros(len(data), dtype=np.int64), samples)
     assert constant.recall == 1.0
     assert abs(constant.precision - 1.0 / 3.0) < 1e-12
     with pytest.raises(UsageError):
-        evaluate(lambda s: 0, samples.take([]))
+        evaluate(lambda data: np.zeros(len(data), dtype=np.int64), samples.take([]))
 
 
 def test_render_table():

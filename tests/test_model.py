@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from stormstack.errors import DimensionError, UsageError, ValidationError
+from stormstack import tensor
+from stormstack.errors import DimensionError, NumericError, UsageError, ValidationError
 from stormstack.features import SequenceSet
 from stormstack.model import (
+    CHUNK,
+    RECURRENT_KINDS,
     KNNClassifier,
     ModelConfig,
     bilstm_forward,
@@ -20,11 +23,12 @@ from stormstack.model import (
     lstm_forward,
     multi_head_attention,
     predict_class,
+    recurrent_width,
     rnn_forward,
     scaled_dot_attention,
     standardize_inputs,
 )
-from stormstack.tensor import Graph, Tensor, backward, grad_check, nll_loss, sum_all
+from stormstack.tensor import Graph, RowInvariant, Tensor, backward, grad_check, matmul, nll_loss, sum_all
 
 
 def _tiny_config(**overrides):
@@ -258,7 +262,8 @@ def test_forward_uniform_when_head_is_zero():
     cfg = _tiny_config()
     params = init_params(cfg)
     params["out_w"] = Tensor(np.zeros((8, 3)))
-    probs = forward(np.random.default_rng(10).standard_normal((6, 3)), params, cfg)
+    probs = forward(np.random.default_rng(10).standard_normal((1, 6, 3)), params, cfg)
+    assert probs.shape == (1, 3)
     assert np.abs(probs - 1.0 / 3.0).max() < 1e-15
 
 
@@ -266,11 +271,10 @@ def test_forward_is_a_distribution():
     cfg = _tiny_config()
     params = init_params(cfg)
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        probs = forward(rng.standard_normal((6, 3)) * 5.0, params, cfg)
-        assert probs.shape == (3,)
-        assert probs.min() >= 0.0
-        assert abs(probs.sum() - 1.0) < 1e-12
+    probs = forward(rng.standard_normal((20, 6, 3)) * 5.0, params, cfg)
+    assert probs.shape == (20, 3)
+    assert probs.min() >= 0.0
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_forward_checks_sample_shape():
@@ -278,12 +282,18 @@ def test_forward_checks_sample_shape():
     params = init_params(cfg)
     data = np.random.default_rng(12).standard_normal((6, 3))
     sample = SequenceSet(["s"], [1], [data])
-    assert np.array_equal(forward(sample.data[0], params, cfg), forward(data, params, cfg))
+    assert np.array_equal(forward(sample.data, params, cfg), forward(data[None], params, cfg))
     # the config pins (steps, channels); "valid" convs would run on 7 steps
-    for shape in ((7, 3), (6, 4), (1, 6, 3)):
+    for shape in ((1, 7, 3), (1, 6, 4)):
         with pytest.raises(DimensionError) as err:
             forward(np.zeros(shape), params, cfg)
         assert "model expects (6, 3)" in str(err.value)
+    # a lone (steps, channels) matrix, or a stack of stacks, is refused too
+    for shape in ((6, 3), (2, 1, 6, 3)):
+        with pytest.raises(DimensionError) as err:
+            forward(np.zeros(shape), params, cfg)
+        assert "(samples, steps, channels)" in str(err.value)
+    assert forward(np.zeros((0, 6, 3)), params, cfg).shape == (0, 3)
 
 
 def test_forward_batch_validation():
@@ -310,6 +320,54 @@ def test_forward_variants():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def _invariance_configs():
+    # widths large enough that a plain GEMM's rounding depends on its row count
+    for recurrent in RECURRENT_KINDS:
+        for attention in (True, False):
+            yield _tiny_config(conv_layers=((16, 3),), lstm_hidden=16, recurrent=recurrent,
+                               attention=attention, attention_dim=recurrent_width(recurrent, 16) // 2)
+    yield _tiny_config(conv_layers=((16, 3),), lstm_hidden=16, attention_dim=16, conv_padding="same")
+    yield _tiny_config(conv_layers=((16, 3),), lstm_hidden=16, attention_dim=16,
+                       input_shift=(1.0, -2.0, 0.5), input_scale=(2.0, 4.0, 1.0))
+
+
+@pytest.mark.parametrize("cfg", list(_invariance_configs()),
+                         ids=lambda c: f"{c.recurrent}-attn{int(c.attention)}-{c.conv_padding}"
+                                       f"{'-std' if c.input_shift else ''}")
+def test_forward_is_batch_invariant(cfg):
+    # a row's probabilities do not depend on the rows scored with it
+    params = init_params(cfg)
+    data = np.random.default_rng(19).standard_normal((CHUNK + 1, 6, 3)) * 3.0
+    single = np.concatenate([forward(row[None], params, cfg) for row in data])
+    for n in (1, 7, CHUNK + 1):
+        assert np.array_equal(forward(data[:n], params, cfg), single[:n]), n
+
+
+def test_untaped_forward_batch_keeps_the_plain_gemm():
+    # the trainer's validation pass runs forward_batch untaped and outside
+    # RowInvariant: its bits must match the taped forward it logs against
+    cfg = next(_invariance_configs())
+    params = init_params(cfg)
+    x = Tensor(np.random.default_rng(20).standard_normal((CHUNK + 1, 6, 3)) * 3.0)
+    with Graph():
+        taped = forward_batch(x, params, cfg).array
+    assert np.array_equal(forward_batch(x, params, cfg).array, taped)
+
+
+def test_row_invariant_scope_closes_on_error():
+    cfg = _tiny_config()
+    params = dict(init_params(cfg), conv0_w=Tensor(np.full((3, 3, 4), 1e308)))
+    with pytest.raises(NumericError):
+        forward(np.ones((2, 6, 3)), params, cfg)
+    assert tensor._row_scopes == []
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((CHUNK, 48)), rng.standard_normal((48, 32))
+    assert np.array_equal(matmul(Tensor(a), Tensor(b)).array, np.matmul(a, b))
+    with RowInvariant():
+        stacked = matmul(Tensor(a), Tensor(b)).array
+    assert np.array_equal(stacked, np.stack([np.matmul(row[None], b)[0] for row in a]))
+
+
 def test_standardize_inputs():
     cfg = _tiny_config()
     rng = np.random.default_rng(13)
@@ -334,8 +392,8 @@ def test_standardized_forward_shifts_inputs():
     shifted = ModelConfig(**{**cfg.__dict__, "input_shift": (1.0, -2.0, 0.5),
                              "input_scale": (2.0, 4.0, 1.0)})
     params = init_params(cfg)
-    manual = forward((data - [1.0, -2.0, 0.5]) / [2.0, 4.0, 1.0], params, cfg)
-    auto = forward(data, params, shifted)
+    manual = forward(((data - [1.0, -2.0, 0.5]) / [2.0, 4.0, 1.0])[None], params, cfg)
+    auto = forward(data[None], params, shifted)
     assert np.abs(manual - auto).max() < 1e-15
 
 
@@ -371,17 +429,16 @@ def test_no_dead_parameters():
 
 
 def test_predict_class():
-    assert predict_class([0.2, 0.5, 0.3]) == 1
-    assert predict_class([0.4, 0.4, 0.2]) == 0
-    assert predict_class([1 / 3, 1 / 3, 1 / 3]) == 0
-    with pytest.raises(UsageError):
-        predict_class([0.5, 0.5])
-    with pytest.raises(UsageError):
-        predict_class([np.nan, 0.5, 0.5])
+    rows = [[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [1 / 3, 1 / 3, 1 / 3]]
+    assert predict_class(rows).tolist() == [1, 0, 0]
+    assert predict_class(np.zeros((0, 3))).shape == (0,)
+    for bad in ([[0.5, 0.5]], [0.2, 0.5, 0.3], [[np.nan, 0.5, 0.5]]):
+        with pytest.raises(UsageError):
+            predict_class(bad)
     # argmax only cares about order, not calibration
     logits = np.array([0.1, 2.0, -1.0])
     e = np.exp(logits)
-    assert predict_class(e / e.sum()) == int(np.argmax(logits))
+    assert predict_class([e / e.sum()]).tolist() == [int(np.argmax(logits))]
 
 
 def _knn_set(labels, points):
@@ -393,10 +450,9 @@ def _knn_set(labels, points):
 def test_knn_exact_match_and_ties():
     train = _knn_set([0, 1, 2], [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
     knn = KNNClassifier(k=1).fit(train)
-    assert knn.predict([(0.0, 0.0)]) == 0
-    assert knn.predict([(10.0, 0.1)]) == 1
+    assert knn.predict([[(0.0, 0.0)], [(10.0, 0.1)]]).tolist() == [0, 1]
     # equidistant neighbours with one vote each: the smallest label wins
-    assert KNNClassifier(k=3).fit(train).predict([(3.3, 3.3)]) == 0
+    assert KNNClassifier(k=3).fit(train).predict([[(3.3, 3.3)]]).tolist() == [0]
 
 
 def test_knn_validation():
@@ -406,10 +462,12 @@ def test_knn_validation():
     with pytest.raises(UsageError):
         KNNClassifier(k=5).fit(train)
     with pytest.raises(UsageError):
-        KNNClassifier(k=1).predict(train.data[0])
+        KNNClassifier(k=1).predict(train.data)
     knn = KNNClassifier(k=1).fit(train)
     with pytest.raises(DimensionError):
-        knn.predict([(1.0, 2.0, 3.0)])
+        knn.predict([[(1.0, 2.0, 3.0)]])
+    with pytest.raises(DimensionError):
+        knn.predict(train.data[0])
     with pytest.raises(UsageError):
         KNNClassifier(k=1).fit(train.take([]))
 
@@ -422,7 +480,29 @@ def test_knn_separated_clusters():
     labels = list(range(3)) * 10
     queries = _knn_set(labels, [rng.normal(centers[label], 0.1) for label in labels])
     knn = KNNClassifier(k=3).fit(train)
-    assert all(knn.predict(x) == label for x, label in zip(queries.data, queries.labels))
+    assert np.array_equal(knn.predict(queries.data), queries.labels)
+
+
+def test_knn_block_matches_query_by_query():
+    # duplicated training points and grid queries force distance ties,
+    # which resolve toward the earlier training sample either way
+    rng = np.random.default_rng(22)
+    points = np.repeat(rng.integers(0, 3, size=(10, 2)).astype(float), 2, axis=0)
+    labels = [int(v) for v in rng.integers(0, 3, size=20)]
+    train = _knn_set(labels, points)
+    queries = rng.integers(0, 3, size=(25, 1, 2)).astype(float)
+    knn = KNNClassifier(k=3).fit(train)
+    x = (train.data.reshape(20, -1) - knn._mean) / knn._scale
+    expected = []
+    for query in queries:
+        q = (query.ravel() - knn._mean) / knn._scale
+        nearest = np.argsort(np.sqrt(((x - q) ** 2).sum(axis=1)), kind="stable")[:3]
+        expected.append(int(np.argmax(np.bincount(train.labels[nearest], minlength=3))))
+    got = knn.predict(queries)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+    assert [int(knn.predict(q[None])[0]) for q in queries] == expected
+    assert knn.predict(queries[:0]).shape == (0,)
 
 
 def test_knn_is_scale_invariant_per_column():
@@ -435,5 +515,5 @@ def test_knn_is_scale_invariant_per_column():
     scaled = _knn_set(labels, [(p[0] * 1000.0, p[1]) for p in points])
     plain = KNNClassifier(k=5).fit(train)
     inflated = KNNClassifier(k=5).fit(scaled)
-    for q in rng.standard_normal((20, 2)):
-        assert plain.predict([list(q)]) == inflated.predict([[q[0] * 1000.0, q[1]]])
+    queries = rng.standard_normal((20, 1, 2))
+    assert np.array_equal(plain.predict(queries), inflated.predict(queries * [1000.0, 1.0]))

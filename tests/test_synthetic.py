@@ -171,9 +171,8 @@ def test_knn_learns_the_generated_classes():
                           [build_sample(e, scans) for e, scans in zip(events, volumes)])
     parts = split(samples, (0.8, 0.1, 0.1), seed=3)
     knn = KNNClassifier(k=5).fit(parts.train)
-    held_out = [(x, label) for part in (parts.validation, parts.test)
-                for x, label in zip(part.data, part.labels)]
-    acc = np.mean([knn.predict(x) == label for x, label in held_out])
+    held_out = (parts.validation, parts.test)
+    acc = np.mean(np.concatenate([knn.predict(part.data) == part.labels for part in held_out]))
     assert acc > 0.85
 
 
