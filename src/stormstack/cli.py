@@ -45,9 +45,7 @@ def _out(cfg, name):
 
 
 def _write(cfg, name, lines):
-    """Write OUT/name as UTF-8 text, one newline-terminated line per item."""
-    with open(_out(cfg, name), "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    dataio.write_lines(_out(cfg, name), lines)
 
 
 def _write_run_log(cfg):

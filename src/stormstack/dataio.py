@@ -8,11 +8,14 @@ the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
 read through `_rows`, so each one reports a malformed row the same way.
+Every file is written through `replacing`, a row at a time: text cells
+go through `_cell` and floats through `_reprs`.
 """
 
 import csv
+import os
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -77,6 +80,45 @@ def _floats(fields, names=None):
     return values
 
 
+@contextmanager
+def replacing(path):
+    """Open a temp file beside path for UTF-8 text writes and move it onto
+    path when the block succeeds.  On any exception the temp file is
+    removed and path keeps its previous bytes, or stays absent."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_lines(path, lines):
+    """Write path as UTF-8 text, one newline-terminated line per item."""
+    with replacing(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _cell(text):
+    """A text cell as one CSV field: quoted, with its quotes doubled, when
+    it holds a comma, a quote, \r or \n, and bare otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _reprs(values, sep=","):
+    """The repr() of each float, joined by sep."""
+    return sep.join(map(repr, values))
+
+
+def _header(names, end="\n"):
+    return ",".join(map(_cell, names)) + end
+
+
 # ---------------------------------------------------------------------------
 # sequence files
 
@@ -87,24 +129,21 @@ def write_sequences(path, samples):
     Rows for a sample are contiguous with t counting from 0.
     """
     channels = samples.data.shape[2]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "t", "label"] + [f"f_{j + 1}" for j in range(channels)])
+    with replacing(path) as fh:
+        fh.write(_header(["sample_id", "t", "label"] + [f"f_{j + 1}" for j in range(channels)]))
         for sample_id, label, matrix in zip(samples.ids, samples.labels.tolist(), samples.data):
-            for t, row in enumerate(matrix.tolist()):
-                writer.writerow([sample_id, t, label] + [repr(v) for v in row])
+            key = _cell(sample_id)
+            fh.writelines(f"{key},{t},{label},{_reprs(row)}\n" for t, row in enumerate(matrix.tolist()))
 
 
 def write_predictions(path, samples, probs, predicted):
     """Write predictions.csv: sample_id,label,p_tornado,p_hail,p_wind,predicted,
     one row per sample of the SequenceSet, from (N, 3) probabilities and
     (N,) predicted labels."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label", "p_tornado", "p_hail", "p_wind", "predicted"])
-        for sample_id, label, p, cls in zip(samples.ids, samples.labels.tolist(),
-                                            probs.tolist(), predicted.tolist()):
-            writer.writerow([sample_id, label, *map(repr, p), cls])
+    with replacing(path) as fh:
+        fh.write(_header(["sample_id", "label", "p_tornado", "p_hail", "p_wind", "predicted"]))
+        fh.writelines(f"{_cell(sample_id)},{label},{_reprs(p)},{cls}\n" for sample_id, label, p, cls
+                      in zip(samples.ids, samples.labels.tolist(), probs.tolist(), predicted.tolist()))
 
 
 def load_sequences(path):
@@ -151,10 +190,9 @@ def save_checkpoint(params, config: ModelConfig, path):
     extra = [n for n in params if n not in expected]
     if missing or extra:
         raise UsageError(f"params do not match config (missing {missing}, unexpected {extra})")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
-        for line in model_config_lines(config):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in model_config_lines(config))
         for name in expected:
             tensor = params[name]
             if tensor.shape != expected[name]:
@@ -163,8 +201,7 @@ def save_checkpoint(params, config: ModelConfig, path):
                 )
             fh.write("@" + name + " " + " ".join(str(d) for d in tensor.shape) + "\n")
             flat = tensor.array.reshape(-1, tensor.shape[-1] if tensor.ndim > 1 else tensor.size)
-            for row in flat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(_reprs(row.tolist(), " ") + "\n" for row in flat)
 
 
 def load_checkpoint(path):
@@ -232,14 +269,14 @@ def load_checkpoint(path):
 
 def write_events(path, events, channels):
     """One CSV row per event; auxiliary channels become named columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["event_id", "label", "latitude", "longitude", "timestamp"] + list(channels))
-        for e in events:
-            writer.writerow(
-                [e.event_id, e.label, repr(float(e.latitude)), repr(float(e.longitude)), e.timestamp]
-                + [repr(float(e.auxiliary[c])) for c in channels]
-            )
+    with replacing(path) as fh:
+        fh.write(_header(["event_id", "label", "latitude", "longitude", "timestamp", *channels]))
+        fh.writelines(
+            ",".join([_cell(e.event_id), str(e.label), repr(float(e.latitude)),
+                      repr(float(e.longitude)), str(e.timestamp)]
+                     + [repr(float(e.auxiliary[c])) for c in channels]) + "\n"
+            for e in events
+        )
 
 
 def load_events(path):
@@ -274,14 +311,15 @@ def write_volumes(path, events, scans):
     if len(dims) > 1:
         raise DimensionError(f"scan blocks disagree on grid dims: {sorted(dims)}")
     nx, ny, nz = dims.pop() if dims else (0, 0, 0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["event_id", "timestamp", "nx", "ny", "nz", "missing"]
-                        + [f"v_{j + 1}" for j in range(nx * ny * nz)])
+    with replacing(path) as fh:
+        fh.write(_header(["event_id", "timestamp", "nx", "ny", "nz", "missing"]
+                         + [f"v_{j + 1}" for j in range(nx * ny * nz)]))
         for e, block in zip(events, scans):
-            for stamp, missing, grid in zip(block.timestamps, block.missing.tolist(), block.grids):
-                writer.writerow([e.event_id, stamp, nx, ny, nz, repr(missing)]
-                                + [repr(x) for x in grid.ravel().tolist()])
+            key = _cell(e.event_id)
+            # one row per scan: the missing marker, then the flattened grid
+            table = np.column_stack((block.missing, block.grids.reshape(len(block.grids), nx * ny * nz)))
+            fh.writelines(f"{key},{stamp},{nx},{ny},{nz},{_reprs(row)}\n"
+                          for stamp, row in zip(block.timestamps.tolist(), table.tolist()))
 
 
 def load_volumes(path):
@@ -321,15 +359,13 @@ _REPORT_FIELDS = (
 def write_report_csv(path, reports):
     """Machine-readable report: full-precision scores plus the flattened
     confusion matrix, one row per classifier."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_FIELDS)
+    with replacing(path) as fh:
+        fh.write(_header(_REPORT_FIELDS, "\r\n"))
         for rep in reports:
-            row = [rep.name, rep.positive_class]
-            row += [repr(v) for v in (rep.precision, rep.recall, rep.f1, rep.accuracy,
-                                      rep.macro_precision, rep.macro_recall, rep.macro_f1)]
-            row += [int(rep.confusion[i, j]) for i in LABELS for j in LABELS]
-            writer.writerow(row)
+            scores = (rep.precision, rep.recall, rep.f1, rep.accuracy,
+                      rep.macro_precision, rep.macro_recall, rep.macro_f1)
+            counts = ",".join(str(int(rep.confusion[i, j])) for i in LABELS for j in LABELS)
+            fh.write(f"{_cell(rep.name)},{rep.positive_class},{_reprs(scores)},{counts}\r\n")
 
 
 def read_report_csv(path):

@@ -125,10 +125,11 @@ class ModelConfig:
         return recurrent_width(self.recurrent, self.lstm_hidden)
 
     def check_shape(self, data, what):
-        """Refuse a nonempty (samples, steps, channels) stack whose
-        (steps, channels) differ from the model's."""
+        """Refuse a (samples, steps, channels) stack whose channels differ
+        from the model's, or whose steps do when it holds samples (an
+        empty stack read from a header-only file has 0 steps)."""
         want = (self.steps, self.input_channels)
-        if len(data) and data.shape[1:] != want:
+        if data.shape[2] != want[1] or (len(data) and data.shape[1:] != want):
             raise DimensionError(f"{what} has shape {data.shape[1:]}, the model expects {want}")
 
     def conv_steps(self):

@@ -161,6 +161,35 @@ def test_predictions_quote_sample_ids(pipeline, tmp_path):
     assert predictions[1][1:] == _rows(out / "predictions.csv")[1][1:]
 
 
+def test_carriage_return_in_a_sample_id_keeps_six_fields(pipeline, tmp_path):
+    # the csv module leaves a bare \r unquoted under a \n line terminator,
+    # which a reader splits into two rows of 1 and 6 fields
+    _, out = pipeline
+    lines = (out / "test.csv").read_text().splitlines()
+    first = lines[1].split(",")[0]
+    renamed = ['"a\rb"' + line[len(first):] if line.startswith(first + ",") else line for line in lines]
+    (tmp_path / "cr.csv").write_bytes(("\n".join(renamed) + "\n").encode())
+    code = cli.main(["predict", "--out", str(tmp_path), "--checkpoint", str(out / "model.ckpt"),
+                     "--input", str(tmp_path / "cr.csv")])
+    assert code == 0
+    predictions = _rows(tmp_path / "predictions.csv")
+    assert len(predictions) == 1 + 6
+    assert {len(row) for row in predictions} == {6}
+    assert predictions[1][0] == "a\rb"
+    assert predictions[1][1:] == _rows(out / "predictions.csv")[1][1:]
+
+
+def test_header_only_input_with_other_channels_is_data_error(pipeline, tmp_path, capsys):
+    # no samples, but the columns already disagree with the 16-channel checkpoint
+    _, out = pipeline
+    (tmp_path / "empty.csv").write_text("sample_id,t,label,f_1,f_2\n")
+    code = cli.main(["predict", "--out", str(tmp_path), "--checkpoint", str(out / "model.ckpt"),
+                     "--input", str(tmp_path / "empty.csv")])
+    assert code == 2
+    _one_data_error(capsys, f"{tmp_path / 'empty.csv'} has shape (0, 2), the model expects (6, 16)")
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_header_only_input_scores_no_chunk(pipeline, tmp_path, monkeypatch):
     _, out = pipeline
     header = (out / "test.csv").read_text().splitlines()[0]

@@ -1,16 +1,24 @@
 """Round trips and failure modes for the text file formats."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from stormstack.config import model_config_lines
 from stormstack.dataio import (
     CHECKPOINT_HEADER,
     load_checkpoint,
     load_events,
     load_sequences,
     load_volumes,
+    read_report_csv,
     save_checkpoint,
     write_events,
+    write_lines,
+    write_predictions,
+    write_report_csv,
     write_sequences,
     write_volumes,
 )
@@ -22,7 +30,8 @@ from stormstack.errors import (
     ValidationError,
 )
 from stormstack.features import AUX_CHANNELS, EventRecord, ScanBlock, SequenceSet
-from stormstack.model import ModelConfig, forward, init_params
+from stormstack.metrics import MetricsReport
+from stormstack.model import ModelConfig, expected_param_shapes, forward, init_params
 from stormstack.tensor import Tensor
 
 TINY = ModelConfig(steps=4, input_channels=2, conv_layers=((3, 2),),
@@ -473,3 +482,202 @@ def test_csv_readers_name_the_line_of_an_oversized_field(tmp_path):
         with pytest.raises(ParseError) as err:
             reader(path)
         assert f"{path}:3: field larger than field limit" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# writer bytes: each writer against the csv module (or, for checkpoints,
+# a per-value join) on ids that need quoting and floats at the edges of repr
+
+IDS = ["", "a,b", 'q"t', "x\ny", "ünï"]
+FLOATS = [-0.0, 1e-05, 1e+16, 5e-324, 0.1, 1 / 3]
+
+
+def _csv_bytes(header, rows, lineterminator="\n"):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _edge_sequences():
+    # each sample holds every edge float, in a different order per step
+    data = [[np.roll(FLOATS, i + t) for t in range(3)] for i in range(len(IDS))]
+    return SequenceSet(IDS, [i % 3 for i in range(len(IDS))], data)
+
+
+def test_write_sequences_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "seq.csv"
+    samples = _edge_sequences()
+    write_sequences(path, samples)
+    header = ["sample_id", "t", "label"] + [f"f_{j + 1}" for j in range(len(FLOATS))]
+    rows = [[sid, t, label] + [repr(v) for v in row]
+            for sid, label, matrix in zip(samples.ids, samples.labels.tolist(), samples.data)
+            for t, row in enumerate(matrix.tolist())]
+    assert path.read_bytes() == _csv_bytes(header, rows)
+    got = load_sequences(path)
+    assert got.ids == tuple(IDS)
+    assert np.array_equal(got.labels, samples.labels)
+    assert _bits(got.data) == _bits(samples.data)
+
+
+def test_write_predictions_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "predictions.csv"
+    samples = _edge_sequences()
+    probs = np.array([np.roll(FLOATS, i)[:3] for i in range(len(IDS))])
+    predicted = np.arange(len(IDS)) % 3
+    write_predictions(path, samples, probs, predicted)
+    header = ["sample_id", "label", "p_tornado", "p_hail", "p_wind", "predicted"]
+    rows = [[sid, label, *map(repr, p), cls] for sid, label, p, cls
+            in zip(samples.ids, samples.labels.tolist(), probs.tolist(), predicted.tolist())]
+    assert path.read_bytes() == _csv_bytes(header, rows)
+    with open(path, newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    assert [row[0] for row in got[1:]] == IDS
+    assert _bits([[float(v) for v in row[2:5]] for row in got[1:]]) == _bits(probs)
+
+
+def _edge_events():
+    degrees = [v for v in FLOATS if abs(v) <= 90.0]
+    return [EventRecord(event_id=eid, label=i % 3, latitude=degrees[i % len(degrees)],
+                        longitude=-degrees[(i + 1) % len(degrees)], timestamp=1000 + i,
+                        auxiliary={c: FLOATS[(i + j) % len(FLOATS)] for j, c in enumerate(AUX_CHANNELS)})
+            for i, eid in enumerate(IDS)]
+
+
+def test_write_events_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "events.csv"
+    events = _edge_events()
+    write_events(path, events, AUX_CHANNELS)
+    header = ["event_id", "label", "latitude", "longitude", "timestamp"] + list(AUX_CHANNELS)
+    rows = [[e.event_id, e.label, repr(float(e.latitude)), repr(float(e.longitude)), e.timestamp]
+            + [repr(float(e.auxiliary[c])) for c in AUX_CHANNELS] for e in events]
+    assert path.read_bytes() == _csv_bytes(header, rows)
+    got, channels = load_events(path)
+    assert channels == tuple(AUX_CHANNELS)
+    assert [e.event_id for e in got] == IDS
+    for sent, loaded in zip(events, got):
+        assert _bits([loaded.latitude, loaded.longitude, *loaded.auxiliary.values()]) == \
+            _bits([sent.latitude, sent.longitude, *sent.auxiliary.values()])
+
+
+def test_write_volumes_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "volumes.csv"
+    events = _edge_events()
+    # two scans of a (1, 2, 3) grid per event, the second with the first's values reversed
+    scans = [ScanBlock([950 + i, 960 + i], [-999.0, FLOATS[i]],
+                       np.reshape([np.roll(FLOATS, i), np.roll(FLOATS, i)[::-1]], (2, 1, 2, 3)))
+             for i in range(len(events))]
+    write_volumes(path, events, scans)
+    header = ["event_id", "timestamp", "nx", "ny", "nz", "missing"] + [f"v_{j + 1}" for j in range(6)]
+    rows = [[e.event_id, stamp, 1, 2, 3, repr(missing)] + [repr(x) for x in grid.ravel().tolist()]
+            for e, block in zip(events, scans)
+            for stamp, missing, grid in zip(block.timestamps, block.missing.tolist(), block.grids)]
+    assert path.read_bytes() == _csv_bytes(header, rows)
+    got = load_volumes(path)
+    assert list(got) == IDS
+    for sent, loaded in zip(scans, got.values()):
+        assert loaded.timestamps.tolist() == sent.timestamps.tolist()
+        assert _bits(loaded.missing) == _bits(sent.missing)
+        assert loaded.grids.shape == sent.grids.shape
+        assert _bits(loaded.grids) == _bits(sent.grids)
+
+
+def test_save_checkpoint_bytes_match_per_value_join(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params = {}
+    for k, (name, tensor) in enumerate(init_params(TINY).items()):
+        flat = tensor.array.reshape(-1).copy()
+        flat[:len(FLOATS)] = np.roll(FLOATS, k)[:flat.size]
+        params[name] = Tensor(flat.reshape(tensor.shape))
+    save_checkpoint(params, TINY, path)
+    lines = [CHECKPOINT_HEADER] + model_config_lines(TINY)
+    for name, shape in expected_param_shapes(TINY).items():
+        lines.append("@" + name + " " + " ".join(str(d) for d in shape))
+        array = params[name].array
+        for row in array.reshape(-1, shape[-1] if array.ndim > 1 else array.size):
+            lines.append(" ".join(repr(float(v)) for v in row))
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+    got, config = load_checkpoint(path)
+    assert config == TINY
+    for name in params:
+        assert _bits(got[name].array) == _bits(params[name].array)
+
+
+def test_write_report_csv_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "metrics.csv"
+    reports = [MetricsReport(name, i % 3, *(FLOATS * 2)[i:i + 7], confusion=np.arange(9).reshape(3, 3) * i)
+               for i, name in enumerate(IDS)]
+    write_report_csv(path, reports)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    rows = [[r.name, r.positive_class]
+            + [repr(v) for v in (*r.row(), r.macro_precision, r.macro_recall, r.macro_f1)]
+            + [int(c) for c in r.confusion.ravel()] for r in reports]
+    assert path.read_bytes() == _csv_bytes(header, rows, lineterminator="\r\n")
+    got = read_report_csv(path)
+    assert [r.name for r in got] == IDS
+    for sent, loaded in zip(reports, got):
+        assert _bits(loaded.row()) == _bits(sent.row())
+        assert np.array_equal(loaded.confusion, sent.confusion)
+
+
+def test_carriage_return_in_an_id_is_quoted(tmp_path):
+    # the csv module leaves a bare \r unquoted under a \n line terminator
+    # (Python 3.11), and a reader then splits the row in two
+    ids = ["a\rb", "c\r", "plain"]
+    samples = SequenceSet(ids, [0, 1, 2], np.ones((3, 2, 1)))
+    write_sequences(tmp_path / "seq.csv", samples)
+    assert (tmp_path / "seq.csv").read_bytes().split(b"\n")[1] == b'"a\rb",0,0,1.0'
+    assert load_sequences(tmp_path / "seq.csv").ids == tuple(ids)
+    events = [EventRecord(eid, i, 1.0, 2.0, 3, {"temperature": 4.0}) for i, eid in enumerate(ids)]
+    write_events(tmp_path / "events.csv", events, ["temperature"])
+    assert load_events(tmp_path / "events.csv")[0] == events
+    block = ScanBlock([5], [-999.0], np.ones((1, 1, 1, 1)))
+    write_volumes(tmp_path / "volumes.csv", events, [block] * 3)
+    assert list(load_volumes(tmp_path / "volumes.csv")) == ids
+
+
+# ---------------------------------------------------------------------------
+# replace on success: a writer that fails mid-file leaves the old artifact
+
+
+def _fails_mid_file(tmp_path, name, write):
+    (tmp_path / name).mkdir()
+    path = tmp_path / name / name
+    path.write_bytes(b"previous artifact\n")
+    with pytest.raises(BaseException) as err:
+        write(path)
+    assert [p.name for p in path.parent.iterdir()] == [name]
+    assert path.read_bytes() == b"previous artifact\n"
+    return err.value
+
+
+def test_failed_writes_keep_the_previous_artifact(tmp_path):
+    # a misshapen last parameter is found after every other block is written
+    params = dict(init_params(TINY), out_b=Tensor([0.0, 0.0]))
+    exc = _fails_mid_file(tmp_path, "model.ckpt", lambda p: save_checkpoint(params, TINY, p))
+    assert isinstance(exc, DimensionError)
+    # the last event lacks a channel the earlier rows carried
+    events = _events(3)
+    events[-1] = EventRecord("ev9", 0, 1.0, 2.0, 3, {})
+    exc = _fails_mid_file(tmp_path, "events.csv", lambda p: write_events(p, events, AUX_CHANNELS))
+    assert isinstance(exc, KeyError)
+
+    def interrupted():
+        yield "first line"
+        raise KeyboardInterrupt
+    exc = _fails_mid_file(tmp_path, "run_config.txt", lambda p: write_lines(p, interrupted()))
+    assert isinstance(exc, KeyboardInterrupt)
+
+
+def test_failed_first_write_leaves_no_file(tmp_path):
+    events = _events(2)
+    events[-1] = EventRecord("ev9", 0, 1.0, 2.0, 3, {})
+    with pytest.raises(KeyError):
+        write_events(tmp_path / "events.csv", events, AUX_CHANNELS)
+    assert list(tmp_path.iterdir()) == []
