@@ -9,7 +9,7 @@ trusts each new observation.
 
 import numpy as np
 
-from stormstack.kalman import KalmanModel, KalmanState, predict, smooth_series, update
+from stormstack.features import smooth_series
 
 rng = np.random.default_rng(11)
 truth = 30.0 + 8.0 * np.sin(np.linspace(0.0, 2.5, 12))
@@ -26,23 +26,3 @@ print()
 print("q=0 vs running mean, max difference:",
       float(np.abs(columns[0] - running_mean).max()))
 
-print()
-print("== the matrix filter underneath ==")
-# constant-velocity model: state (position, velocity), observe position
-dt = 1.0
-model = KalmanModel(
-    F=np.array([[1.0, dt], [0.0, 1.0]]),
-    B=np.zeros((2, 1)),
-    H=np.array([[1.0, 0.0]]),
-    Q=np.eye(2) * 0.01,
-    R=np.array([[4.0]]),
-)
-state = KalmanState(x=np.zeros(2), P=np.eye(2) * 10.0)
-for z in (1.0, 3.1, 4.8, 7.2, 8.9):
-    state = predict(state, model)
-    state = update(state, model, np.array([z]))
-    print(f"observed {z:4.1f} -> position {state.x[0]:5.2f}"
-          f"  velocity {state.x[1]:5.2f}"
-          f"  position variance {state.P[0, 0]:5.2f}")
-print("velocity is never observed directly; the filter infers it from"
-      " the position track")

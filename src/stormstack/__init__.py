@@ -35,9 +35,9 @@ from .features import (
     build_sample,
     class_counts,
     extract_shsr_stats,
+    smooth_series,
     split,
 )
-from .kalman import KalmanModel, KalmanState, predict as kalman_predict, smooth_series, update as kalman_update
 from .metrics import (
     MetricsReport,
     confusion,

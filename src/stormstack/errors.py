@@ -33,7 +33,7 @@ class DimensionError(DataError):
 
 
 class NumericError(StormError):
-    """A numeric procedure failed (singular matrix, non-finite value)."""
+    """A numeric procedure failed: a tensor value or op result is not finite."""
 
 
 @contextmanager

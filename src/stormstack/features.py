@@ -1,5 +1,5 @@
-"""Feature engineering: reflectivity statistics, sample assembly,
-class balancing, and stratified splitting.
+"""Feature engineering: reflectivity statistics, Kalman smoothing,
+sample assembly, class balancing, and stratified splitting.
 
 Each storm event contributes one sequence sample.  A sample row holds
 six reflectivity statistics for one volume scan followed by the event's
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UsageError, ValidationError
-from .kalman import smooth_series
 from .rng import SplitMix64
 
 MISSING = -999.0
@@ -192,16 +191,63 @@ def build_sample(
             f" (missing {missing}, unexpected {extra})"
         )
     stats = []
-    for stamp, marker, grid in zip(stamps, scans.missing, scans.grids):
-        try:
-            stats.append(extract_shsr_stats(grid, threshold, marker))
-        except ValidationError as exc:
-            raise ValidationError(f"event {event.event_id} scan at {stamp}: {exc}") from None
-    stats = np.array(stats)
-    if kalman_q is not None:
-        stats = smooth_series(stats, kalman_q, kalman_r)
+    # overflow shows up as a non-finite value, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stamp, marker, grid in zip(stamps, scans.missing, scans.grids):
+            try:
+                stats.append(extract_shsr_stats(grid, threshold, marker))
+            except ValidationError as exc:
+                raise ValidationError(f"event {event.event_id} scan at {stamp}: {exc}") from None
+        stats = np.array(stats)
+        _check_finite(event, stamps, stats, "statistic")
+        if kalman_q is not None:
+            stats = smooth_series(stats, kalman_q, kalman_r)
+            _check_finite(event, stamps, stats, "smoothed statistic")
     aux = np.array([float(event.auxiliary[c]) for c in channels])
     return np.hstack([stats, np.tile(aux, (stats.shape[0], 1))])
+
+
+def _check_finite(event, stamps, stats, what):
+    finite = np.isfinite(stats)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValidationError(f"event {event.event_id} scan at {stamps[row]}: {what} {col + 1}"
+                              f" of {stats.shape[1]} is not finite ({stats[row, col]})")
+
+
+def smooth_series(series, q: float, r: float) -> np.ndarray:
+    """Smooth every channel of a (T, D) series with a scalar random-walk
+    Kalman filter (F=1, H=1, B=0, Q=q, R=r).
+
+    The state starts at the channel's first observation with P0 = r, so
+    short sequences carry no burn-in transient.  Row t of the output is
+    the posterior estimate after consuming observation t.  The gain
+    schedule depends only on q and r, so all channels share it.  Every
+    covariance the recursion forms is at most q + 2r, so that sum must
+    be finite.
+    """
+    series = np.atleast_2d(np.asarray(series, dtype=np.float64))
+    if series.size == 0:
+        raise UsageError("smooth_series needs a nonempty series")
+    if q < 0:
+        raise UsageError(f"process noise q must be nonnegative, got {q}")
+    if r <= 0:
+        raise UsageError(f"measurement noise r must be positive, got {r}")
+    if not np.isfinite(q + 2 * r):
+        raise UsageError(f"smoothing noise overflows: kalman.q + 2 * kalman.r must be finite,"
+                         f" got kalman.q={q}, kalman.r={r}")
+    steps = series.shape[0]
+    out = np.empty_like(series)
+    x = series[0].copy()
+    out[0] = x
+    cov = r
+    for t in range(1, steps):
+        cov = cov + q
+        gain = cov / (cov + r)
+        x = x + gain * (series[t] - x)
+        cov = (1.0 - gain) * cov
+        out[t] = x
+    return out
 
 
 def class_counts(samples):

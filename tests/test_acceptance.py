@@ -20,9 +20,9 @@ from stormstack.features import (
     build_sample,
     class_counts,
     extract_shsr_stats,
+    smooth_series,
     split,
 )
-from stormstack.kalman import smooth_series
 from stormstack.metrics import confusion, evaluate, metrics, multiclass_accuracy
 from stormstack.model import (
     KNNClassifier,

@@ -392,6 +392,41 @@ def test_all_missing_scan_is_data_error(pipeline, tmp_path, capsys):
     _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: volume has no non-missing cells")
 
 
+def _featurize_refused(config, tmp_path, recwarn):
+    # a refused featurize leaves older splits as they were and warns nothing
+    for name in ("train.csv", "val.csv", "test.csv", "run_config.txt"):
+        (tmp_path / name).write_text("untouched\n")
+    before = _snapshot(tmp_path)
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert _snapshot(tmp_path) == before
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
+def test_overflowing_statistic_is_data_error(pipeline, tmp_path, capsys, recwarn):
+    # the variance of a scan holding +-1e308 overflows to inf
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:6] + ["1e308", "-1e308"] + fields[8:])
+    (tmp_path / "volumes.csv").write_text("\n".join(lines))
+    assert _featurize_refused(config, tmp_path, recwarn) == 2
+    _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: statistic 4 of 6 is not finite (inf)")
+
+
+def test_overflowing_smoothing_noise_is_usage_error(pipeline, tmp_path, capsys, recwarn):
+    # q = r = 1e308 makes the first gain inf/inf
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    noisy = tmp_path / "noisy.cfg"
+    noisy.write_text(config.read_text() + "kalman.q = 1e308\nkalman.r = 1e308\n")
+    assert _featurize_refused(noisy, tmp_path, recwarn) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "kalman.q=1e+308, kalman.r=1e+308" in err
+
+
 def test_repeated_baseline_is_scored_once(pipeline, tmp_path, capsys):
     config, out = pipeline
     _copy(out, tmp_path, "train.csv", "val.csv", "test.csv", "model.ckpt")

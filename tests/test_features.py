@@ -15,9 +15,9 @@ from stormstack.features import (
     build_sample,
     class_counts,
     extract_shsr_stats,
+    smooth_series,
     split,
 )
-from stormstack.kalman import smooth_series
 
 
 def _scans(timestamps, *grids):
@@ -169,6 +169,18 @@ def test_build_sample_smooths_only_stats():
     same = _scans(range(40, 45), *[[3.0, 9.0]] * 5)
     assert np.array_equal(build_sample(_event(), same, kalman_q=0.5),
                           build_sample(_event(), same))
+
+
+def test_build_sample_refuses_non_finite_values(recwarn):
+    # the variance of +-1e308 overflows; the scan is named and no warning leaks
+    with pytest.raises(ValidationError,
+                       match=r"event ev0 scan at 41: statistic 4 of 6 is not finite \(inf\)"):
+        build_sample(_event(), _scans([40, 41], [1.0, 2.0], [1e308, -1e308]))
+    # finite statistics (one cell per scan) whose smoothed innovation overflows
+    with pytest.raises(ValidationError,
+                       match=r"scan at 41: smoothed statistic 1 of 6 is not finite \(-inf\)"):
+        build_sample(_event(), _scans([40, 41], [1.7e308], [-1.7e308]), kalman_q=0.01)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _mini(labels):

@@ -1,15 +1,18 @@
-"""Kalman recursion tests against a plain scalar reference.
+"""Tests of smooth_series, the scalar random-walk Kalman filter that
+smooths the feature channels.
 
-_scalar_reference below implements the random-walk filter directly
-from the defining recursion, one float at a time, and the randomized
-agreement tests compare smooth_series against it channel by channel.
+_scalar_reference below implements the filter directly from the
+defining recursion, one float at a time, and the randomized agreement
+tests compare smooth_series against it channel by channel;
+_matrix_step is the general predict/update step written with 1x1
+matrices, a second oracle.
 """
 
 import numpy as np
 import pytest
 
-from stormstack.errors import DimensionError, NumericError, UsageError, ValidationError
-from stormstack.kalman import KalmanModel, KalmanState, predict, smooth_series, update
+from stormstack.errors import UsageError
+from stormstack.features import smooth_series
 
 
 def _scalar_reference(obs, q, r):
@@ -26,85 +29,14 @@ def _scalar_reference(obs, q, r):
     return out
 
 
-def _scalar_model(q=0.0, r=1.0):
-    return KalmanModel(F=[[1.0]], B=[[0.0]], H=[[1.0]], Q=[[q]], R=[[r]])
-
-
-def test_model_validation():
-    m = _scalar_model()
-    assert m.state_dim == 1
-    with pytest.raises(DimensionError):
-        KalmanModel(F=[[1.0, 0.0]], B=[[0.0]], H=[[1.0]], Q=[[0.0]], R=[[1.0]])
-    with pytest.raises(ValidationError):
-        KalmanModel(F=np.eye(2), B=np.zeros((2, 1)), H=np.eye(2),
-                    Q=[[0.0, 1.0], [0.0, 0.0]], R=np.eye(2))
-    with pytest.raises(ValidationError):
-        KalmanModel(F=[[1.0]], B=[[0.0]], H=[[1.0]], Q=[[0.0]], R=[[-1.0]])
-
-
-def test_state_validation():
-    KalmanState(x=[0.0], P=[[1.0]])
-    with pytest.raises(ValidationError):
-        KalmanState(x=np.zeros(2), P=[[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        KalmanState(x=[0.0], P=[[-1.0]])
-    with pytest.raises(DimensionError):
-        KalmanState(x=np.zeros(2), P=np.eye(3))
-
-
-def test_predict_fixtures():
-    s = KalmanState(x=[3.0], P=[[1.0]])
-    out = predict(s, _scalar_model(q=0.0))
-    assert out.x[0] == 3.0 and out.P[0, 0] == 1.0 and out.k == 0
-    out = predict(s, _scalar_model(q=0.1))
-    assert abs(out.P[0, 0] - 1.1) < 1e-15
-    m = KalmanModel(F=[[2.0]], B=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[1.0]])
-    out = predict(s, m, u=[1.0])
-    assert out.x[0] == 7.0
-    with pytest.raises(DimensionError):
-        predict(s, m, u=[1.0, 2.0])
-    with pytest.raises(DimensionError):
-        predict(KalmanState(x=np.zeros(2), P=np.eye(2)), m)
-
-
-def test_update_eleven_twenty_firsts():
-    # prior x=0, P=1.1, z=1, r=1: gain 11/21 and the posterior mean and
-    # variance land on the same value
-    s = KalmanState(x=[0.0], P=[[1.1]])
-    out = update(s, _scalar_model(r=1.0), z=[1.0])
-    want = 11.0 / 21.0
-    assert abs(out.x[0] - want) < 1e-15
-    assert abs(out.P[0, 0] - want) < 1e-15
-    assert out.k == 1
-
-
-def test_update_overwhelming_noise_is_inert():
-    # the gain underflows below the smallest normal and is forced to 0,
-    # so the estimate comes back bit-identical
-    s = KalmanState(x=[2.5], P=[[1e-16]])
-    out = update(s, _scalar_model(r=1e308), z=[1000.0])
-    assert out.x[0] == 2.5
-    assert out.P[0, 0] == 1e-16
-    assert out.k == 1
-
-
-def test_update_tiny_noise_tracks_measurement():
-    s = KalmanState(x=[0.0], P=[[1.0]])
-    out = update(s, _scalar_model(r=1e-12), z=[7.0])
-    assert abs(out.x[0] - 7.0) < 1e-6
-
-
-def test_update_singular_innovation():
-    s = KalmanState(x=[0.0], P=[[1.0]])
-    m = KalmanModel(F=[[1.0]], B=[[0.0]], H=[[0.0]], Q=[[0.0]], R=[[0.0]])
-    with pytest.raises(NumericError):
-        update(s, m, z=[1.0])
-
-
-def test_update_dim_checks():
-    s = KalmanState(x=[0.0], P=[[1.0]])
-    with pytest.raises(DimensionError):
-        update(s, _scalar_model(), z=[1.0, 2.0])
+def _matrix_step(x, P, z, F, H, Q, R):
+    # predict x = F x, P = F P F^T + Q; update with K = P H^T (H P H^T + R)^-1
+    x = F @ x
+    P = F @ P @ F.T + Q
+    K = P @ H.T @ np.linalg.inv(H @ P @ H.T + R)
+    x = x + K @ (z - H @ x)
+    P = (np.eye(len(x)) - K @ H) @ P
+    return x, P
 
 
 def test_smooth_series_validation():
@@ -114,6 +46,15 @@ def test_smooth_series_validation():
         smooth_series([[1.0]], -0.1, 1.0)
     with pytest.raises(UsageError):
         smooth_series([[1.0]], 0.1, 0.0)
+
+
+def test_smooth_series_refuses_overflowing_noise():
+    # q + 2r bounds every covariance; past float range the gain comes out
+    # inf/inf or rounds to 0
+    for q, r in ((1e308, 1e308), (0.0, 1e308), (float("inf"), 1.0), (float("nan"), 1.0)):
+        with pytest.raises(UsageError, match="kalman.q"):
+            smooth_series([[1.0], [2.0]], q, r)
+    assert np.isfinite(smooth_series([[1.0], [2.0]], 1e307, 1e307)).all()
 
 
 def test_smooth_series_fixtures():
@@ -167,64 +108,16 @@ def test_zero_process_noise_never_amplifies_spread():
 
 
 def test_smooth_series_equals_matrix_recursion():
-    # composing the general predict/update with 1x1 matrices must land
-    # on the same numbers as the vectorized special case
+    # composing predict/update with 1x1 matrices must land on the same
+    # numbers as the vectorized special case
     rng = np.random.default_rng(23)
     obs = rng.standard_normal(25) * 3.0
     q, r = 0.4, 1.3
     fast = smooth_series(obs[:, None], q, r)
-    m = _scalar_model(q=q, r=r)
-    s = KalmanState(x=[obs[0]], P=[[r]])
+    one = np.eye(1)
+    x, P = np.array([obs[0]]), r * one
     slow = [obs[0]]
     for z in obs[1:]:
-        s = update(predict(s, m), m, z=[z])
-        slow.append(s.x[0])
+        x, P = _matrix_step(x, P, np.array([z]), one, one, q * one, r * one)
+        slow.append(x[0])
     assert np.abs(fast[:, 0] - slow).max() < 1e-12
-
-
-def _random_stable_system(rng, n, p):
-    f = rng.standard_normal((n, n))
-    rad = np.abs(np.linalg.eigvals(f)).max()
-    if rad > 0:
-        f = f * (0.9 / rad)
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((p, p))
-    return KalmanModel(
-        F=f,
-        B=np.zeros((n, 1)),
-        H=rng.standard_normal((p, n)),
-        Q=a @ a.T * 0.1,
-        R=b @ b.T + 0.1 * np.eye(p),
-    )
-
-
-def test_covariance_stays_symmetric_nonnegative():
-    rng = np.random.default_rng(41)
-    for trial in range(20):
-        n = int(rng.integers(1, 4))
-        p = int(rng.integers(1, n + 1))
-        m = _random_stable_system(rng, n, p)
-        s = KalmanState(x=np.zeros(n), P=np.eye(n))
-        for _ in range(50):
-            s = predict(s, m)
-            assert np.array_equal(s.P, s.P.T)
-            s = update(s, m, z=rng.standard_normal(p))
-            assert np.array_equal(s.P, s.P.T)
-            assert s.P.diagonal().min() > -1e-9
-        assert s.k == 50
-
-
-def test_repeated_identical_measurement_converges():
-    m = KalmanModel(F=np.eye(2), B=np.zeros((2, 1)), H=np.eye(2),
-                    Q=np.zeros((2, 2)), R=np.eye(2))
-    s = KalmanState(x=np.zeros(2), P=np.eye(2))
-    z = np.array([1.0, -2.0])
-    errs = []
-    traces = []
-    for _ in range(30):
-        s = update(predict(s, m), m, z)
-        errs.append(np.linalg.norm(s.x - z))
-        traces.append(np.trace(s.P))
-    assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-    assert all(b < a for a, b in zip(traces, traces[1:]))
-    assert errs[-1] < 0.1
