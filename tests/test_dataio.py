@@ -681,3 +681,114 @@ def test_failed_first_write_leaves_no_file(tmp_path):
     with pytest.raises(KeyError):
         write_events(tmp_path / "events.csv", events, AUX_CHANNELS)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# wide-table parity: every malformed record of volumes.csv and of a split
+# file keeps its exception class and path:line, with line numbers counted
+# in records (a quoted id holding \n spans two physical lines, one record)
+
+_WIDE = {
+    "volumes": (load_volumes, "event_id,timestamp,nx,ny,nz,missing,v_1,v_2,v_3,v_4\n",
+                lambda i: f"ev{i},{950 + i},4,1,1,-999.0,{i}.5,2.0,-3e-05,1e+16\n"),
+    "sequences": (load_sequences, "sample_id,t,label,f_1,f_2,f_3,f_4\n",
+                  lambda i: f"s{i},0,{i % 3},{i}.5,2.0,-3e-05,1e+16\n"),
+}
+
+
+def _wide_file(tmp_path, kind, edit):
+    reader, header, row = _WIDE[kind]
+    rows = [row(i) for i in range(5)]
+    edit(rows)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(header + "".join(rows))
+    return reader, path
+
+
+def _bad_float(index, value="1.0x"):
+    def edit(rows):
+        rows[index] = rows[index].replace(f",{index}.5,", f",{value},")
+    return edit
+
+
+def _quoted_newline_then_bad_float(rows):
+    rows[1] = '"' + rows[1].replace(",", '\n",', 1)
+    _bad_float(2)(rows)
+
+
+_WIDE_FAULTS = {
+    "blank line": (lambda rows: rows.insert(2, "\n"), ParseError, 4, "expected {width} fields, got 0"),
+    "hash line": (lambda rows: rows.insert(2, "# a note\n"), ParseError, 4,
+                  "expected {width} fields, got 1"),
+    "short row": (lambda rows: rows.__setitem__(2, rows[2].rsplit(",", 1)[0] + "\n"), ParseError, 4,
+                  "expected {width} fields, got {short}"),
+    "long row": (lambda rows: rows.__setitem__(2, rows[2].rstrip("\n") + ",1.0\n"), ParseError, 4,
+                 "expected {width} fields, got {long}"),
+    "bad float, first row": (_bad_float(0), ParseError, 2, ""),
+    "bad float, middle row": (_bad_float(2), ParseError, 4, ""),
+    "bad float, last row": (_bad_float(4), ParseError, 6, ""),
+    "bad float after a quoted id holding \\n": (_quoted_newline_then_bad_float, ParseError, 4, ""),
+    "nan, last row": (_bad_float(4, "nan"), ParseError, 6, "non-finite value nan"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+@pytest.mark.parametrize("fault", list(_WIDE_FAULTS))
+def test_wide_readers_name_the_faulty_record(tmp_path, kind, fault):
+    edit, cls, line, message = _WIDE_FAULTS[fault]
+    reader, path = _wide_file(tmp_path, kind, edit)
+    width = _WIDE[kind][1].count(",") + 1
+    with pytest.raises(cls) as err:
+        reader(path)
+    assert type(err.value) is cls
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert message.format(width=width, short=width - 1, long=width + 1) in str(err.value)
+
+
+@pytest.mark.parametrize("kind, column", [("volumes", 2), ("sequences", 1)])
+def test_wide_readers_refuse_a_float_in_an_integer_column(tmp_path, kind, column):
+    # nx=4.0 in volumes.csv, t=0.0 in a split file: integer columns stay int()
+    def edit(rows):
+        fields = rows[2].split(",")
+        fields[column] += ".0"
+        rows[2] = ",".join(fields)
+    reader, path = _wide_file(tmp_path, kind, edit)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}:4: ")
+    assert ("4.0" if kind == "volumes" else "0.0") in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_wide_readers_take_ids_starting_with_a_hash(tmp_path, kind):
+    reader, path = _wide_file(tmp_path, kind, lambda rows: rows.__setitem__(1, "#" + rows[1]))
+    got = reader(path)
+    ids = list(got) if kind == "volumes" else list(got.ids)
+    assert ids[1] in ("#ev1", "#s1")
+    assert len(ids) == 5
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_wide_readers_keep_quoted_cells_bit_identical(tmp_path, kind):
+    # quoted numbers and quoted ids holding , or " read as their plain forms
+    def quote_id(row, text):
+        return '"' + text + '"' + row[row.index(","):]
+
+    def edit(rows):
+        rows[0] = rows[0].replace(",0.5,", ',"0.5",').replace(",1e+16\n", ',"1e+16"\n')
+        rows[1] = quote_id(rows[1], "a,b")
+        rows[3] = quote_id(rows[3], 'q""t')
+    (tmp_path / "plain").mkdir()
+    reader, plain = _wide_file(tmp_path / "plain", kind, lambda rows: None)
+    _, quoted = _wide_file(tmp_path, kind, edit)
+    want, got = reader(plain), reader(quoted)
+    if kind == "volumes":
+        assert list(got) == ["ev0", "a,b", "ev2", 'q"t', "ev4"]
+        for sent, loaded in zip(want.values(), got.values()):
+            assert loaded.timestamps.tolist() == sent.timestamps.tolist()
+            assert _bits(loaded.missing) == _bits(sent.missing)
+            assert _bits(loaded.grids) == _bits(sent.grids)
+    else:
+        assert got.ids == ("s0", "a,b", "s2", 'q"t', "s4")
+        assert np.array_equal(got.labels, want.labels)
+        assert _bits(got.data) == _bits(want.data)
