@@ -7,15 +7,22 @@ Everything is plain UTF-8 text with `\n` line endings, except that
 the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
-read through `_rows`, so each one reports a malformed row the same way.
+read through `_rows`, or, for the wide volume and sequence files,
+`_table`, which parses their floats with one np.loadtxt call; both
+check the header in `_csv`, so each file reports a malformed row the
+same way.
 Every file is written through `replacing`, a row at a time: text cells
 go through `_cell` and floats through `_reprs`.
 """
 
 import csv
+import itertools
+import math
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager, suppress
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,27 +37,20 @@ CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
 @contextmanager
-def _rows(path, fixed):
-    """Open the CSV file at path, whose header must start with fixed.
+def _csv(path, fixed):
+    """Open the CSV file at path and read its header, which must start
+    with fixed and name no column twice.
 
-    Yields (header, rows); rows gives (lineno, fields) for each data
-    row and refuses one whose field count differs from the header's.  A
-    ValueError raised while the caller handles a row becomes a
-    ParseError naming path:line; a ValidationError or DimensionError
-    gains the same prefix and keeps its class.
+    Yields (header, fh, reader, at): fh and the csv reader over it stand
+    after the header, and at.line is the line of the data row being
+    handled, 0 before and after the rows.  A ValueError raised while
+    at.line is set becomes a ParseError naming path:line; a
+    ValidationError or DimensionError gains the same prefix and keeps
+    its class.
     """
-    line = 0  # the data row being handled; 0 before and after the rows
+    at = SimpleNamespace(line=0)
     with open_text(path) as fh:
         reader = csv.reader(fh)
-
-        def rows():
-            nonlocal line
-            for line, fields in enumerate(reader, start=2):
-                if len(fields) != len(header):
-                    raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(fields)}")
-                yield line, fields
-            line = 0
-
         try:
             header = next(reader, None)
             if header is None or header[:len(fixed)] != list(fixed):
@@ -58,15 +58,141 @@ def _rows(path, fixed):
             repeated = [name for name, count in Counter(header).items() if count > 1]
             if repeated:
                 raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
-            yield header, rows()
+            yield header, fh, reader, at
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         except (ValueError, ValidationError, DimensionError) as exc:
             # a UnicodeDecodeError is left to open_text, which names the byte
-            if not line or isinstance(exc, UnicodeDecodeError):
+            if not at.line or isinstance(exc, UnicodeDecodeError):
                 raise
             cls = ParseError if isinstance(exc, ValueError) else type(exc)
-            raise cls(f"{path}:{line}: {exc}") from None
+            raise cls(f"{path}:{at.line}: {exc}") from None
+
+
+@contextmanager
+def _rows(path, fixed):
+    """Open the CSV file at path, whose header must start with fixed.
+
+    Yields (header, rows); rows gives (lineno, fields) for each data
+    row and refuses one whose field count differs from the header's.
+    Errors raised while the caller handles a row name path:line (see
+    _csv).
+    """
+    with _csv(path, fixed) as (header, _, reader, at):
+        def rows():
+            for at.line, fields in enumerate(reader, start=2):
+                if len(fields) != len(header):
+                    raise ParseError(f"{path}:{at.line}: expected {len(header)} fields, got {len(fields)}")
+                yield at.line, fields
+            at.line = 0
+
+        yield header, rows()
+
+
+class _Fault(Exception):
+    """The error of a fault in data row `row` (from 0) of a table, found
+    while parsing it."""
+
+    def __init__(self, row, error):
+        super().__init__(row, error)
+        self.row, self.error = row, error
+
+
+# loadtxt numbers rows from 0 and columns from 1
+_LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\d+), column (\d+)\.", re.S)
+
+
+@contextmanager
+def _table(path, fixed, lead):
+    """_rows for a wide file: a text id column, then lead - 1 integer
+    columns, then float columns, all parsed together by one np.loadtxt
+    call.
+
+    Yields (header, rows); rows gives (lineno, [id, *ints], values) for
+    each data row, values being the row's floats.  Records, line numbers
+    and errors are those of _rows with int() and _floats.  A fault found
+    while parsing (a field count, a number that does not parse, a NaN or
+    infinity, a byte that is not UTF-8) is raised once rows has given
+    the records before it, with values None, so a fault the caller finds
+    in an earlier record is reported first.  Two differences: NaN and
+    infinity are looked for once every float has parsed, so a later
+    record that does not parse is reported before them; and unlike
+    float(), loadtxt refuses `1_000` and non-ASCII digits.
+    """
+    with _csv(path, fixed) as (header, fh, reader, at):
+        # every record's id and ints, one after another; each id string is
+        # kept once, as a file repeats an id on many rows
+        width, leads, ids = len(header), [], {}
+
+        def fault(row, message, line=None):
+            return _Fault(row, ParseError(f"{path}:{line or row + 2}: {message}"))
+
+        def tails():
+            # each record's float cells as one line of text, once its lead cells are read
+            read = reader.line_num  # lines of fh consumed so far
+            for line in fh:
+                read += 1
+                row = len(leads) // lead
+                if '"' in line or len(line) > csv.field_size_limit():
+                    # a quoted cell may hold , " \r or \n: the csv module
+                    # reads the record, and the float cells are quoted again
+                    record = csv.reader(itertools.chain([line], fh))
+                    try:
+                        fields = next(record)
+                    except csv.Error as exc:
+                        raise fault(row, exc, read - 1 + record.line_num) from None
+                    read += record.line_num - 1
+                    count, tail = len(fields), ",".join(map(_cell, fields[lead:]))
+                else:
+                    text = line.rstrip("\r\n")
+                    count = text.count(",") + 1 if text else 0
+                    fields = text.split(",", lead)
+                    tail = fields[-1]
+                if count != width:
+                    raise fault(row, f"expected {width} fields, got {count}")
+                try:
+                    leads.extend([ids.setdefault(fields[0], fields[0]), *map(int, fields[1:lead])])
+                except ValueError as exc:
+                    raise fault(row, exc) from None
+                if width > lead:
+                    yield tail or '""'  # loadtxt skips an empty line; this fails to convert
+
+        def parse():
+            records = tails()
+            try:
+                first = next(records, None)
+                if first is None:  # no rows or no float columns, which loadtxt refuses
+                    return np.empty((len(leads) // lead, width - lead))
+                table = np.loadtxt(itertools.chain([first], records), delimiter=",", quotechar='"',
+                                   comments=None, dtype=np.float64, ndmin=2)
+            except UnicodeDecodeError as exc:  # open_text names the byte
+                raise _Fault(len(leads) // lead, exc) from None
+            except ValueError as exc:
+                found = _LOADTXT_ERROR.fullmatch(str(exc))
+                if found is None:  # worded otherwise by this numpy: no line to name
+                    raise _Fault(len(leads) // lead, ParseError(f"{path}: {exc}")) from None
+                row = int(found[2])
+                raise fault(row, f"{found[1]} in column {header[lead + int(found[3]) - 1]}") from None
+            ok = np.isfinite(table)
+            if not ok.all():
+                row, column = divmod(int(np.argmin(ok)), table.shape[1])
+                raise fault(row, f"non-finite value {float(table[row, column])!r}"
+                                 f" in column {header[lead + column]}")
+            return table
+
+        def rows():
+            try:
+                table, error = parse(), None
+            except _Fault as exc:
+                table, error = itertools.repeat(None, exc.row), exc.error
+            for row, values in enumerate(table):
+                at.line = row + 2
+                yield at.line, leads[row * lead:(row + 1) * lead], values
+            at.line = 0
+            if error:
+                raise error from None
+
+        yield header, rows()
 
 
 def _floats(fields, names=None):
@@ -151,14 +277,12 @@ def load_sequences(path):
 
     Every sample must have the step count of the first one.
     """
-    with _rows(path, ("sample_id", "t", "label")) as (header, rows):
+    with _table(path, ("sample_id", "t", "label"), 3) as (header, rows):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
         first_lines, labels, blocks, current = {}, [], [], None
-        for lineno, fields in rows:
-            sample_id, t, label = fields[0], int(fields[1]), int(fields[2])
-            values = _floats(fields[3:])
+        for lineno, (sample_id, t, label), values in rows:
             if sample_id != current:
                 if sample_id in first_lines:
                     raise ValidationError(f"rows for {sample_id} are not contiguous")
@@ -326,20 +450,19 @@ def load_volumes(path):
     """Returns {event_id: ScanBlock} in order of first appearance; the
     rows of one event need not be adjacent and stack in file order.
     Every row must carry the first row's grid dims."""
-    with _rows(path, ("event_id", "timestamp", "nx", "ny", "nz", "missing")) as (_, rows):
-        dims, scans = None, {}
-        for _, fields in rows:
-            numbers = _floats(fields[5:])
-            shape = tuple(int(d) for d in fields[2:5])
-            if min(shape) < 1:
-                raise ValidationError(f"dims must be three positive ints, got {shape}")
-            if np.prod(shape) != numbers.size - 1:
-                raise DimensionError(f"volume has {numbers.size - 1} cells,"
-                                     f" dims {shape} require {np.prod(shape)}")
-            dims = dims or shape
+    with _table(path, ("event_id", "timestamp", "nx", "ny", "nz", "missing"), 5) as (header, rows):
+        cells, dims, scans = len(header) - 6, None, {}
+        for _, (event_id, stamp, *shape), numbers in rows:
+            shape = tuple(shape)
             if shape != dims:
-                raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
-            scans.setdefault(fields[0], []).append((int(fields[1]), numbers))
+                if min(shape) < 1:
+                    raise ValidationError(f"dims must be three positive ints, got {shape}")
+                if math.prod(shape) != cells:
+                    raise DimensionError(f"volume has {cells} cells, dims {shape} require {math.prod(shape)}")
+                if dims:
+                    raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
+                dims = shape
+            scans.setdefault(event_id, []).append((stamp, numbers))
     for event_id, entries in scans.items():
         stamps, numbers = zip(*entries)
         table = np.array(numbers)

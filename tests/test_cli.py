@@ -355,6 +355,39 @@ def test_non_finite_input_is_data_error(pipeline, tmp_path, capsys):
     _one_data_error(capsys, f"{bad}:4: non-finite value nan")
 
 
+# float() takes these digit forms; the table reader's np.loadtxt does not
+DIGIT_FORMS = ("1_000", "\u0661\u0662", "\uff11")
+
+
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+def test_non_ascii_or_underscored_digits_in_volumes_are_data_error(pipeline, tmp_path, capsys, digits):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[7] = digits
+    lines[3] = ",".join(fields)
+    (tmp_path / "volumes.csv").write_text("\n".join(lines), encoding="utf-8")
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:4: ", repr(digits), "column v_2")
+    assert not (tmp_path / "train.csv").exists()
+
+
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+def test_non_ascii_or_underscored_digits_in_a_split_file_are_data_error(pipeline, tmp_path, capsys,
+                                                                       digits):
+    _, out = pipeline
+    lines = (out / "test.csv").read_text().split("\n")
+    lines[3] = ",".join(lines[3].split(",")[:-1] + [digits])
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--input", str(bad),
+                     "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{bad}:4: ", repr(digits), "column f_16")
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_ragged_input_is_data_error(pipeline, tmp_path, capsys):
     # drop the last step of the second sample: lines 8-12 hold t = 0..4
     _, out = pipeline

@@ -745,6 +745,15 @@ def test_wide_readers_name_the_faulty_record(tmp_path, kind, fault):
     assert message.format(width=width, short=width - 1, long=width + 1) in str(err.value)
 
 
+def test_sequences_refuse_an_empty_only_float_cell(tmp_path):
+    # with one float column an empty cell leaves an empty line of floats
+    path = tmp_path / "seq.csv"
+    path.write_text("sample_id,t,label,f_1\na,0,1,1.0\nb,0,1,\nc,0,1,2.0\n")
+    with pytest.raises(ParseError) as err:
+        load_sequences(path)
+    assert str(err.value).startswith(f"{path}:3: ")
+
+
 @pytest.mark.parametrize("kind, column", [("volumes", 2), ("sequences", 1)])
 def test_wide_readers_refuse_a_float_in_an_integer_column(tmp_path, kind, column):
     # nx=4.0 in volumes.csv, t=0.0 in a split file: integer columns stay int()
