@@ -7,10 +7,10 @@ Everything is plain UTF-8 text with `\n` line endings, except that
 the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
-read through `_rows`, or, for the wide volume and sequence files,
-`_table`, which parses their floats with one np.loadtxt call; both
-check the header in `_csv`, so each file reports a malformed row the
-same way.
+read through `_table`, which takes the id and integer cells of each
+record with str.split and int(), and parses every float of the file
+with one np.loadtxt call, so every CSV file has the same float grammar
+and reports a malformed record the same way, at path:line.
 Every file is written through `replacing`, a row at a time: text cells
 go through `_cell` and floats through `_reprs`.
 """
@@ -22,7 +22,6 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager, suppress
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,173 +35,130 @@ from .tensor import Tensor
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
-@contextmanager
-def _csv(path, fixed):
-    """Open the CSV file at path and read its header, which must start
-    with fixed and name no column twice.
-
-    Yields (header, fh, reader, at): fh and the csv reader over it stand
-    after the header, and at.line is the line of the data row being
-    handled, 0 before and after the rows.  A ValueError raised while
-    at.line is set becomes a ParseError naming path:line; a
-    ValidationError or DimensionError gains the same prefix and keeps
-    its class.
-    """
-    at = SimpleNamespace(line=0)
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or header[:len(fixed)] != list(fixed):
-                raise ParseError(f"{path}: header must start with {','.join(fixed)}")
-            repeated = [name for name, count in Counter(header).items() if count > 1]
-            if repeated:
-                raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
-            yield header, fh, reader, at
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-        except (ValueError, ValidationError, DimensionError) as exc:
-            # a UnicodeDecodeError is left to open_text, which names the byte
-            if not at.line or isinstance(exc, UnicodeDecodeError):
-                raise
-            cls = ParseError if isinstance(exc, ValueError) else type(exc)
-            raise cls(f"{path}:{at.line}: {exc}") from None
-
-
-@contextmanager
-def _rows(path, fixed):
-    """Open the CSV file at path, whose header must start with fixed.
-
-    Yields (header, rows); rows gives (lineno, fields) for each data
-    row and refuses one whose field count differs from the header's.
-    Errors raised while the caller handles a row name path:line (see
-    _csv).
-    """
-    with _csv(path, fixed) as (header, _, reader, at):
-        def rows():
-            for at.line, fields in enumerate(reader, start=2):
-                if len(fields) != len(header):
-                    raise ParseError(f"{path}:{at.line}: expected {len(header)} fields, got {len(fields)}")
-                yield at.line, fields
-            at.line = 0
-
-        yield header, rows()
-
-
-class _Fault(Exception):
-    """The error of a fault in data row `row` (from 0) of a table, found
-    while parsing it."""
-
-    def __init__(self, row, error):
-        super().__init__(row, error)
-        self.row, self.error = row, error
-
-
 # loadtxt numbers rows from 0 and columns from 1
 _LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\d+), column (\d+)\.", re.S)
 
 
 @contextmanager
-def _table(path, fixed, lead):
-    """_rows for a wide file: a text id column, then lead - 1 integer
-    columns, then float columns, all parsed together by one np.loadtxt
-    call.
+def _table(path, fixed, ints):
+    """Open the CSV file at path and read it as a table: column 0 is a
+    text id, the columns numbered in ints are integers (int()) and every
+    other column is a float, all of the file's floats parsed by one
+    np.loadtxt call.  The header must start with fixed and name no
+    column twice.
 
-    Yields (header, rows); rows gives (lineno, [id, *ints], values) for
-    each data row, values being the row's floats.  Records, line numbers
-    and errors are those of _rows with int() and _floats.  A fault found
-    while parsing (a field count, a number that does not parse, a NaN or
-    infinity, a byte that is not UTF-8) is raised once rows has given
-    the records before it, with values None, so a fault the caller finds
-    in an earlier record is reported first.  Two differences: NaN and
-    infinity are looked for once every float has parsed, so a later
-    record that does not parse is reported before them; and unlike
-    float(), loadtxt refuses `1_000` and non-ASCII digits.
+    Yields (header, rows); rows gives (line, [id, *ints], values) for
+    each data record, values being its floats in column order.  Lines
+    count records, so a quoted id holding \\n is one line.  The whole
+    file is parsed as the caller starts on rows, and its first fault (a
+    field count, a number that does not parse, a NaN or infinity) is
+    raised as a ParseError naming path:line and, for a float, its
+    column; a byte that is not UTF-8 is left to open_text.  Only then
+    does the caller check records: a ValidationError or DimensionError
+    it raises while handling one gains the record's path:line and keeps
+    its class.  NaN and infinity are looked for once every float has
+    parsed, and unlike float(), loadtxt refuses `1_000` and non-ASCII
+    digits.
     """
-    with _csv(path, fixed) as (header, fh, reader, at):
-        # every record's id and ints, one after another; each id string is
-        # kept once, as a file repeats an id on many rows
-        width, leads, ids = len(header), [], {}
+    lead = max(ints) + 1  # each record is split after its last integer cell
+    line = 0  # the line of the record the caller is handling
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
+        if header is None or header[:len(fixed)] != list(fixed):
+            raise ParseError(f"{path}: header must start with {','.join(fixed)}")
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
+        width = len(header)
+        floats = [c for c in range(1, width) if c not in ints]
+        # the cells of a split record that hold floats: those among the
+        # split-off cells, then the unsplit rest
+        pick = [c for c in floats if c < lead] + ([lead] if width > lead else [])
+        records, ids = [], {}  # each id string is kept once, as a file repeats ids
 
-        def fault(row, message, line=None):
-            return _Fault(row, ParseError(f"{path}:{line or row + 2}: {message}"))
+        def fault(row, message):
+            return ParseError(f"{path}:{row + 2}: {message}")
 
         def tails():
-            # each record's float cells as one line of text, once its lead cells are read
-            read = reader.line_num  # lines of fh consumed so far
-            for line in fh:
-                read += 1
-                row = len(leads) // lead
-                if '"' in line or len(line) > csv.field_size_limit():
+            # each record's float cells as one line of text, once its id and ints are read
+            for text in fh:
+                row = len(records)
+                quoted = '"' in text or len(text) > csv.field_size_limit()
+                if quoted:
                     # a quoted cell may hold , " \r or \n: the csv module
                     # reads the record, and the float cells are quoted again
-                    record = csv.reader(itertools.chain([line], fh))
+                    record = csv.reader(itertools.chain([text], fh))
                     try:
                         fields = next(record)
                     except csv.Error as exc:
-                        raise fault(row, exc, read - 1 + record.line_num) from None
-                    read += record.line_num - 1
-                    count, tail = len(fields), ",".join(map(_cell, fields[lead:]))
+                        raise fault(row, exc) from None
+                    count = len(fields)
                 else:
-                    text = line.rstrip("\r\n")
+                    text = text.rstrip("\r\n")
                     count = text.count(",") + 1 if text else 0
                     fields = text.split(",", lead)
-                    tail = fields[-1]
                 if count != width:
                     raise fault(row, f"expected {width} fields, got {count}")
                 try:
-                    leads.extend([ids.setdefault(fields[0], fields[0]), *map(int, fields[1:lead])])
+                    numbers = [int(fields[c]) for c in ints]
                 except ValueError as exc:
                     raise fault(row, exc) from None
-                if width > lead:
+                records.append([ids.setdefault(fields[0], fields[0]), *numbers])
+                if floats:
+                    tail = (",".join(_cell(fields[c]) for c in floats) if quoted
+                            else ",".join([fields[c] for c in pick]))
                     yield tail or '""'  # loadtxt skips an empty line; this fails to convert
 
         def parse():
-            records = tails()
+            lines = tails()
+            first = next(lines, None)
+            if first is None:  # no rows or no float columns, which loadtxt refuses
+                return np.empty((len(records), len(floats)))
             try:
-                first = next(records, None)
-                if first is None:  # no rows or no float columns, which loadtxt refuses
-                    return np.empty((len(leads) // lead, width - lead))
-                table = np.loadtxt(itertools.chain([first], records), delimiter=",", quotechar='"',
+                table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
                                    comments=None, dtype=np.float64, ndmin=2)
-            except UnicodeDecodeError as exc:  # open_text names the byte
-                raise _Fault(len(leads) // lead, exc) from None
+            except UnicodeDecodeError:  # open_text names the byte
+                raise
             except ValueError as exc:
                 found = _LOADTXT_ERROR.fullmatch(str(exc))
                 if found is None:  # worded otherwise by this numpy: no line to name
-                    raise _Fault(len(leads) // lead, ParseError(f"{path}: {exc}")) from None
-                row = int(found[2])
-                raise fault(row, f"{found[1]} in column {header[lead + int(found[3]) - 1]}") from None
+                    raise ParseError(f"{path}: {exc}") from None
+                column = header[floats[int(found[3]) - 1]]
+                raise fault(int(found[2]), f"{found[1]} in column {column}") from None
             ok = np.isfinite(table)
             if not ok.all():
                 row, column = divmod(int(np.argmin(ok)), table.shape[1])
                 raise fault(row, f"non-finite value {float(table[row, column])!r}"
-                                 f" in column {header[lead + column]}")
+                                 f" in column {header[floats[column]]}")
             return table
 
         def rows():
-            try:
-                table, error = parse(), None
-            except _Fault as exc:
-                table, error = itertools.repeat(None, exc.row), exc.error
-            for row, values in enumerate(table):
-                at.line = row + 2
-                yield at.line, leads[row * lead:(row + 1) * lead], values
-            at.line = 0
-            if error:
-                raise error from None
+            nonlocal line
+            table = parse()
+            for row, (record, values) in enumerate(zip(records, table)):
+                line = row + 2
+                yield line, record, values
+            line = 0
 
-        yield header, rows()
+        try:
+            yield header, rows()
+        except (ValidationError, DimensionError) as exc:
+            if not line:
+                raise
+            raise type(exc)(f"{path}:{line}: {exc}") from None
 
 
-def _floats(fields, names=None):
+def _floats(fields):
     """Parse text fields as float64 (the values float() gives); a NaN or
-    infinity raises ValueError naming it and, given names, its column."""
+    infinity raises ValueError naming it."""
     values = np.array(fields, dtype=np.float64)
     ok = np.isfinite(values)
     if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"non-finite {names[i] if names else 'value'} {float(values[i])!r}")
+        raise ValueError(f"non-finite value {float(values[np.argmin(ok)])!r}")
     return values
 
 
@@ -277,7 +233,7 @@ def load_sequences(path):
 
     Every sample must have the step count of the first one.
     """
-    with _table(path, ("sample_id", "t", "label"), 3) as (header, rows):
+    with _table(path, ("sample_id", "t", "label"), (1, 2)) as (header, rows):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
@@ -369,7 +325,7 @@ def load_checkpoint(path):
                 f"{path}:{pos + 1}: parameter {name} has shape {shape}, config requires {expected[name]}"
             )
         count = int(np.prod(shape))
-        chunks, got = [], 0
+        chunks, got, start = [], 0, pos + 1
         pos += 1
         while got < count and pos < len(lines) and not lines[pos].startswith("@"):
             try:
@@ -379,7 +335,8 @@ def load_checkpoint(path):
             got += chunks[-1].size
             pos += 1
         if got != count:
-            raise ParseError(f"{path}: incomplete block for {name}: got {got} of {count} values")
+            state = f"incomplete block for {name}" if got < count else f"block for {name} is too long"
+            raise ParseError(f"{path}:{start}: {state}: got {got} of {count} values")
         params[name] = Tensor(np.concatenate(chunks).reshape(shape), _checked=True)
     missing = [n for n in expected if n not in params]
     if missing:
@@ -408,22 +365,17 @@ def load_events(path):
 
     An event_id may appear only once.
     """
-    with _rows(path, ("event_id", "label", "latitude", "longitude", "timestamp")) as (header, rows):
+    fixed = ("event_id", "label", "latitude", "longitude", "timestamp")
+    with _table(path, fixed, (1, 4)) as (header, rows):
         channels = tuple(header[5:])
         events, seen = [], set()
-        for _, fields in rows:
-            if fields[0] in seen:
-                raise ValidationError(f"repeated event_id {fields[0]!r}")
-            seen.add(fields[0])
-            numbers = _floats(fields[2:4] + fields[5:]).tolist()
-            events.append(EventRecord(
-                event_id=fields[0],
-                label=int(fields[1]),
-                latitude=numbers[0],
-                longitude=numbers[1],
-                timestamp=int(fields[4]),
-                auxiliary=dict(zip(channels, numbers[2:])),
-            ))
+        for _, (event_id, label, timestamp), values in rows:
+            if event_id in seen:
+                raise ValidationError(f"repeated event_id {event_id!r}")
+            seen.add(event_id)
+            latitude, longitude, *auxiliary = values.tolist()
+            events.append(EventRecord(event_id, label, latitude, longitude, timestamp,
+                                      dict(zip(channels, auxiliary))))
     return events, channels
 
 
@@ -450,7 +402,8 @@ def load_volumes(path):
     """Returns {event_id: ScanBlock} in order of first appearance; the
     rows of one event need not be adjacent and stack in file order.
     Every row must carry the first row's grid dims."""
-    with _table(path, ("event_id", "timestamp", "nx", "ny", "nz", "missing"), 5) as (header, rows):
+    fixed = ("event_id", "timestamp", "nx", "ny", "nz", "missing")
+    with _table(path, fixed, (1, 2, 3, 4)) as (header, rows):
         cells, dims, scans = len(header) - 6, None, {}
         for _, (event_id, stamp, *shape), numbers in rows:
             shape = tuple(shape)
@@ -494,11 +447,10 @@ def write_report_csv(path, reports):
 def read_report_csv(path):
     """Inverse of write_report_csv."""
     reports = []
-    with _rows(path, _REPORT_FIELDS) as (header, rows):
+    with _table(path, _REPORT_FIELDS, (1, *range(9, 18))) as (header, rows):
         if len(header) != len(_REPORT_FIELDS):
             raise ParseError(f"{path}: header must be {','.join(_REPORT_FIELDS)}")
-        for _, fields in rows:
-            scores = _floats(fields[2:9], _REPORT_FIELDS[2:9]).tolist()
-            cm = np.array([int(v) for v in fields[9:]], dtype=np.int64).reshape(3, 3)
-            reports.append(MetricsReport(fields[0], int(fields[1]), *scores, confusion=cm))
+        for _, (name, positive_class, *counts), scores in rows:
+            cm = np.array(counts, dtype=np.int64).reshape(3, 3)
+            reports.append(MetricsReport(name, positive_class, *scores.tolist(), confusion=cm))
     return reports

@@ -388,6 +388,39 @@ def test_non_ascii_or_underscored_digits_in_a_split_file_are_data_error(pipeline
     assert not (tmp_path / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+def test_non_ascii_or_underscored_digits_in_events_are_data_error(pipeline, tmp_path, capsys, digits):
+    # in an auxiliary channel, where float()'s 1000.0 would be in range
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "events.csv").read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[5] = digits
+    lines[3] = ",".join(fields)
+    (tmp_path / "events.csv").write_text("\n".join(lines), encoding="utf-8")
+    before = _snapshot(tmp_path)
+    code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    column = lines[0].split(",")[5]
+    _one_data_error(capsys, f"{tmp_path / 'events.csv'}:4: ", repr(digits), f"column {column}")
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+def test_non_ascii_or_underscored_digits_in_metrics_are_data_error(pipeline, tmp_path, capsys, digits):
+    config, out = pipeline
+    _copy(out, tmp_path, "metrics_model.csv", "report.txt")
+    rows = (tmp_path / "metrics_model.csv").read_bytes().decode("utf-8").split("\r\n")
+    fields = rows[1].split(",")
+    fields[2] = digits
+    rows[1] = ",".join(fields)
+    (tmp_path / "metrics_model.csv").write_bytes("\r\n".join(rows).encode("utf-8"))
+    before = _snapshot(tmp_path)
+    assert cli.main(["report", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{tmp_path / 'metrics_model.csv'}:2: ", repr(digits), "column precision")
+    assert _snapshot(tmp_path) == before
+
+
 def test_ragged_input_is_data_error(pipeline, tmp_path, capsys):
     # drop the last step of the second sample: lines 8-12 hold t = 0..4
     _, out = pipeline

@@ -238,6 +238,21 @@ def test_checkpoint_rejects_truncation(tmp_path):
     assert "incomplete" in str(err.value) or "missing" in str(err.value)
 
 
+def test_checkpoint_block_count_errors_name_the_block_line(tmp_path):
+    # out_b holds 3 values on one line; one more or one fewer is a data error at its @ line
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    lines = path.read_text().split("\n")
+    at = lines.index("@out_b 3")
+    for edit, message in ((lambda row: row + " 0.5", "block for out_b is too long: got 4 of 3 values"),
+                          (lambda row: row.rsplit(" ", 1)[0], "incomplete block for out_b: got 2 of 3 values")):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines[:at + 1] + [edit(lines[at + 1])] + lines[at + 2:]))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(bad)
+        assert str(err.value) == f"{bad}:{at + 1}: {message}"
+
+
 def test_checkpoint_rejects_unknown_parameter(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_params(TINY), TINY, path)
@@ -482,6 +497,70 @@ def test_csv_readers_name_the_line_of_an_oversized_field(tmp_path):
         with pytest.raises(ParseError) as err:
             reader(path)
         assert f"{path}:3: field larger than field limit" in str(err.value)
+
+
+# the faulty record is the fourth, on physical line 5, after a quoted id holding \n
+_AFTER_A_QUOTED_NEWLINE = {
+    "sequences": (load_sequences, "sample_id,t,label,f_1\n",
+                  ("a,0,1,1.0\n", '"b\nc",0,1,2.0\n', "d,0,1,{cell}\n")),
+    "events": (load_events, "event_id,label,latitude,longitude,timestamp\n",
+               ("ev0,0,1.0,2.0,3\n", '"a\nb",0,1.0,2.0,3\n', "ev1,0,{cell},2.0,3\n")),
+    "volumes": (load_volumes, "event_id,timestamp,nx,ny,nz,missing,v_1\n",
+                ("ev0,950,1,1,1,-999.0,1.0\n", '"a\nb",950,1,1,1,-999.0,1.0\n',
+                 "ev1,960,1,1,1,-999.0,{cell}\n")),
+}
+
+
+def _after_a_quoted_newline(tmp_path, kind):
+    """A reader and a file template whose fourth record holds {cell} in a float column."""
+    if kind != "metrics":
+        reader, header, rows = _AFTER_A_QUOTED_NEWLINE[kind]
+        return reader, header + "".join(rows)
+    path = tmp_path / "metrics.csv"
+    write_report_csv(path, [MetricsReport(name, 0, *FLOATS, 0.5, confusion=np.eye(3, dtype=np.int64))
+                            for name in ("m0", "a\nb", "m2")])
+    rows = path.read_bytes().decode("utf-8").split("\r\n")
+    rows[3] = rows[3].replace(f",{FLOATS[0]!r},", ",{cell},", 1)
+    return read_report_csv, "\r\n".join(rows)
+
+
+@pytest.mark.parametrize("kind", ["events", "metrics", "sequences", "volumes"])
+@pytest.mark.parametrize("cell, message", [("1" * 200_000, "field larger than field limit"),
+                                           ("1.0x", "could not convert string '1.0x' to float64")],
+                         ids=("oversized field", "bad float"))
+def test_csv_readers_count_records_after_a_quoted_newline(tmp_path, kind, cell, message):
+    # a csv-module error and a float error in one record name the same line
+    reader, template = _after_a_quoted_newline(tmp_path, kind)
+    path = tmp_path / "file.csv"
+    path.write_bytes(template.replace("{cell}", cell).encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}:4: {message}")
+
+
+def test_events_parse_faults_come_before_record_checks(tmp_path):
+    # the whole file parses before load_events checks records, so a bad
+    # latitude on line 5 is named over the repeated event_id on line 3
+    path = tmp_path / "events.csv"
+    write_events(path, _events(4), AUX_CHANNELS)
+    lines = path.read_text().split("\n")
+    lines[2] = lines[1]
+    fields = lines[4].split(",")
+    fields[2] = "x"
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_events(path)
+    assert str(err.value) == f"{path}:5: could not convert string 'x' to float64 in column latitude"
+
+
+def test_sequences_parse_faults_come_before_record_checks(tmp_path):
+    # sample a resumes on line 4 (not contiguous), and line 5 holds a NaN
+    path = tmp_path / "seq.csv"
+    path.write_text("sample_id,t,label,f_1\na,0,1,1.0\nb,0,1,2.0\na,1,1,3.0\nc,0,1,nan\n")
+    with pytest.raises(ParseError) as err:
+        load_sequences(path)
+    assert str(err.value) == f"{path}:5: non-finite value nan in column f_1"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Mutation fuzzing of the two wide-table readers through the CLI.
+"""Mutation fuzzing of the CSV readers through the CLI.
 
-Valid copies of `volumes.csv` (read by `featurize`) and of a split file
-(read by `predict --input`) are mutated by byte flips, truncations,
+Valid copies of `volumes.csv` and `events.csv` (read by `featurize`), of
+a split file (read by `predict --input`) and of `metrics_model.csv`
+(read by `report`) are mutated by byte flips, truncations,
 field swaps and duplicated lines, drawn from a seeded SplitMix64
 stream.  Every mutant must exit 0 or 2 with at most one stderr line (a
 data error on exit 2), and raise no exception and no warning; in
@@ -43,7 +44,7 @@ def run(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     config = root / "run.cfg"
     config.write_text(TINY_CONFIG)
-    for stage in ("generate", "featurize", "train"):
+    for stage in ("generate", "featurize", "train", "evaluate"):
         assert cli.main([stage, "--config", str(config), "--out", str(root / "run")]) == 0
     return config, root / "run"
 
@@ -121,3 +122,22 @@ def test_mutated_split_file_exits_0_or_2(run, tmp_path, capsys):
     for k, (mutant, names) in enumerate(_mutants((source / "test.csv").read_bytes(), 1202)):
         mutated.write_bytes(mutant)
         _check_exit(argv, capsys, f"split mutant {k} ({', '.join(names)})")
+
+
+def test_mutated_events_exit_0_or_2(run, tmp_path, capsys):
+    config, source = run
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(source / "volumes.csv", out)
+    for k, (mutant, names) in enumerate(_mutants((source / "events.csv").read_bytes(), 1203)):
+        (out / "events.csv").write_bytes(mutant)
+        _check_exit(["featurize", "--config", str(config), "--out", str(out)], capsys,
+                    f"events mutant {k} ({', '.join(names)})")
+
+
+def test_mutated_metrics_exit_0_or_2(run, tmp_path, capsys):
+    config, source = run
+    for k, (mutant, names) in enumerate(_mutants((source / "metrics_model.csv").read_bytes(), 1204)):
+        (tmp_path / "metrics_model.csv").write_bytes(mutant)
+        _check_exit(["report", "--config", str(config), "--out", str(tmp_path)], capsys,
+                    f"metrics mutant {k} ({', '.join(names)})")

@@ -182,7 +182,7 @@ def test_report_csv_rejects_tampering(tmp_path):
         bad.write_text(lines[0] + "\n" + ",".join(fields[:column] + [text] + fields[column + 1:]) + "\n")
         with pytest.raises(ParseError) as err:
             read_report_csv(bad)
-        assert f"{bad}:2: non-finite {lines[0].split(',')[column]}" in str(err.value)
+        assert f"{bad}:2: non-finite value {text} in column {lines[0].split(',')[column]}" in str(err.value)
 
 
 def test_report_csv_rejects_impossible_records(tmp_path):
