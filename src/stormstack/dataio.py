@@ -51,14 +51,14 @@ def _table(path, fixed, ints):
     each data record, values being its floats in column order.  Lines
     count records, so a quoted id holding \\n is one line.  The whole
     file is parsed as the caller starts on rows, and its first fault (a
-    field count, a number that does not parse, a NaN or infinity) is
-    raised as a ParseError naming path:line and, for a float, its
-    column; a byte that is not UTF-8 is left to open_text.  Only then
-    does the caller check records: a ValidationError or DimensionError
-    it raises while handling one gains the record's path:line and keeps
-    its class.  NaN and infinity are looked for once every float has
-    parsed, and unlike float(), loadtxt refuses `1_000` and non-ASCII
-    digits.
+    field count, a number that does not parse, an integer beyond int64,
+    a NaN or infinity) is raised as a ParseError naming path:line and,
+    for a float or an integer beyond int64, its column; a byte that is
+    not UTF-8 is left to open_text.  Only then does the caller check
+    records: a ValidationError or DimensionError it raises while
+    handling one gains the record's path:line and keeps its class.  NaN
+    and infinity are looked for once every float has parsed, and unlike
+    float(), loadtxt refuses `1_000` and non-ASCII digits.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
@@ -107,6 +107,9 @@ def _table(path, fixed, ints):
                     numbers = [int(fields[c]) for c in ints]
                 except ValueError as exc:
                     raise fault(row, exc) from None
+                if min(numbers) < -2 ** 63 or max(numbers) >= 2 ** 63:
+                    c = next(c for c, n in zip(ints, numbers) if not -2 ** 63 <= n < 2 ** 63)
+                    raise fault(row, f"integer {fields[c]} is beyond int64 in column {header[c]}")
                 records.append([ids.setdefault(fields[0], fields[0]), *numbers])
                 if floats:
                     tail = (",".join(_cell(fields[c]) for c in floats) if quoted

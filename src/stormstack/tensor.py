@@ -17,6 +17,8 @@ Operations executed while no Graph is active compute forward values only,
 which is the inference fast path.
 """
 
+from itertools import accumulate
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -124,7 +126,11 @@ _row_scopes = []
 
 
 def _emit(values, inputs, backward_fn):
-    out = Tensor(values, _checked=True)
+    if values.ndim == 0:  # an elementwise op on 0-d arrays gives a NumPy scalar
+        values = np.asarray(values)
+    values.flags.writeable = False
+    out = Tensor.__new__(Tensor)
+    out.array, out.grad = values, None
     g = _active()
     if g is not None:
         g.record(out, inputs, backward_fn)
@@ -256,18 +262,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, computed on both branches to avoid exp overflow."""
-    values = _sigmoid_values(x.array)
+    """Logistic function from e = exp(-|x|), which cannot overflow:
+    1 / (1 + e) where x >= 0, e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x.array))
+    values = np.where(x.array >= 0, 1.0, e) / (1.0 + e)
     return _emit(values, (x,), lambda g: (g * values * (1.0 - values),))
-
-
-def _sigmoid_values(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -302,10 +301,10 @@ def concat(tensors) -> Tensor:
                 f"concat needs equal leading shapes, got {[t.shape for t in tensors]}"
             )
     values = np.concatenate([t.array for t in tensors], axis=-1)
-    offsets = np.cumsum([t.shape[-1] for t in tensors])[:-1]
+    bounds = [0, *accumulate(t.shape[-1] for t in tensors)]
 
     def bwd(g):
-        return tuple(np.split(g, offsets, axis=-1))
+        return tuple(g[..., a:b] for a, b in zip(bounds, bounds[1:]))
 
     return _emit(values, tuple(tensors), bwd)
 

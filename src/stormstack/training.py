@@ -72,15 +72,13 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise DimensionError(f"gradient for {name} has shape {g.shape}, expected {p.shape}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros(p.shape)
-            v = np.zeros(p.shape)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
+        m, v = state.m[name], state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += ((1.0 - config.beta2) * g) * g
         step_dir = (m / scale1) / (np.sqrt(v / scale2) + config.epsilon)
         updated[name] = Tensor(p.array - config.learning_rate * step_dir)
     return updated

@@ -421,6 +421,37 @@ def test_non_ascii_or_underscored_digits_in_metrics_are_data_error(pipeline, tmp
     assert _snapshot(tmp_path) == before
 
 
+BEYOND_INT64 = "123456789012345678901234567890"
+
+
+def test_timestamp_beyond_int64_in_volumes_is_data_error(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[1] = BEYOND_INT64
+    lines[3] = ",".join(fields)
+    (tmp_path / "volumes.csv").write_text("\n".join(lines))
+    before = _snapshot(tmp_path)
+    assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:4: ", BEYOND_INT64, "column timestamp")
+    assert _snapshot(tmp_path) == before
+
+
+def test_count_beyond_int64_in_metrics_is_data_error(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    _copy(out, tmp_path, "metrics_model.csv", "report.txt")
+    rows = (tmp_path / "metrics_model.csv").read_bytes().decode("utf-8").split("\r\n")
+    fields = rows[1].split(",")
+    fields[9] = "-" + BEYOND_INT64
+    rows[1] = ",".join(fields)
+    (tmp_path / "metrics_model.csv").write_bytes("\r\n".join(rows).encode("utf-8"))
+    before = _snapshot(tmp_path)
+    assert cli.main(["report", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{tmp_path / 'metrics_model.csv'}:2: ", "-" + BEYOND_INT64, "column cm00")
+    assert _snapshot(tmp_path) == before
+
+
 def test_ragged_input_is_data_error(pipeline, tmp_path, capsys):
     # drop the last step of the second sample: lines 8-12 hold t = 0..4
     _, out = pipeline

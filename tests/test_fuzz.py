@@ -1,12 +1,14 @@
-"""Mutation fuzzing of the CSV readers through the CLI.
+"""Mutation fuzzing of the readers through the CLI.
 
 Valid copies of `volumes.csv` and `events.csv` (read by `featurize`), of
-a split file (read by `predict --input`) and of `metrics_model.csv`
-(read by `report`) are mutated by byte flips, truncations,
-field swaps and duplicated lines, drawn from a seeded SplitMix64
-stream.  Every mutant must exit 0 or 2 with at most one stderr line (a
-data error on exit 2), and raise no exception and no warning; in
-particular no mutant may exit 3.
+a split file (read by `predict --input`), of `metrics_model.csv` (read
+by `report`) and of `model.ckpt` (read by `predict`) are mutated by
+byte flips, truncations, field swaps and duplicated lines, drawn from
+a seeded SplitMix64 stream.  Every mutant must exit 0 or 2 with at most
+one stderr line (a data error on exit 2), and raise no exception and no
+warning; no CSV mutant may exit 3.  A checkpoint mutant may also exit 3
+with one numeric error line, as a weight mutated to a huge value makes
+the forward pass overflow.
 
 The Tier-1 run is a fixed-seed subset of a few seconds.  Set LONG_RUN
 to True for the long run.
@@ -89,18 +91,21 @@ def _mutants(data, seed):
         yield mutant, names
 
 
-def _check_exit(argv, capsys, what):
+ERROR_LINES = {2: "data error: ", 3: "numeric error: "}
+
+
+def _check_exit(argv, capsys, what, codes=(0, 2)):
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
     err = capsys.readouterr().err
-    assert code in (0, 2), f"{what}: exit {code}: {err}"
+    assert code in codes, f"{what}: exit {code}: {err}"
     assert [str(w.message) for w in caught] == [], what
     if code == 0:
         assert err == "", what
     else:
-        assert err.startswith("data error: ") and err.count("\n") == 1, f"{what}: {err!r}"
+        assert err.startswith(ERROR_LINES[code]) and err.count("\n") == 1, f"{what}: {err!r}"
 
 
 def test_mutated_volumes_exit_0_or_2(run, tmp_path, capsys):
@@ -141,3 +146,13 @@ def test_mutated_metrics_exit_0_or_2(run, tmp_path, capsys):
         (tmp_path / "metrics_model.csv").write_bytes(mutant)
         _check_exit(["report", "--config", str(config), "--out", str(tmp_path)], capsys,
                     f"metrics mutant {k} ({', '.join(names)})")
+
+
+def test_mutated_checkpoint_exits_0_2_or_3(run, tmp_path, capsys):
+    config, source = run
+    mutated = tmp_path / "model.ckpt"
+    argv = ["predict", "--config", str(config), "--out", str(tmp_path / "run"),
+            "--checkpoint", str(mutated), "--input", str(source / "test.csv")]
+    for k, (mutant, names) in enumerate(_mutants((source / "model.ckpt").read_bytes(), 1205)):
+        mutated.write_bytes(mutant)
+        _check_exit(argv, capsys, f"checkpoint mutant {k} ({', '.join(names)})", (0, 2, 3))

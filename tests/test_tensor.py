@@ -124,6 +124,36 @@ def test_relu_sigmoid_tanh_fixtures():
     assert abs(tanh(Tensor([1.0])).values[0] - np.tanh(1.0)) < 1e-15
 
 
+def _two_branch_sigmoid(z):
+    # the masked form sigmoid used before its exp(-|z|) form: the oracle
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bits_match_the_two_branch_form():
+    edges = np.array([0.0, -0.0, 1e-320, -1e-320, 745.2, -745.2, 800.0, -800.0,
+                      np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0])
+    blocks = [edges] + [
+        scale_ * np.random.default_rng(70 + k).standard_normal((60, 64))
+        for k, scale_ in enumerate((1.0, 10.0, 100.0, 800.0))
+    ]
+    for z in blocks:
+        assert sigmoid(Tensor(z)).array.tobytes() == _two_branch_sigmoid(z).tobytes()
+
+
+def test_zero_dim_elementwise_ops():
+    # a NumPy elementwise op on a 0-d array returns a scalar, not an array
+    x = Tensor(np.array(-2.0))
+    for out in (relu(x), sigmoid(x), tanh(x), scale(x, 3.0), add(x, x), mul(x, x)):
+        assert isinstance(out.array, np.ndarray) and out.shape == ()
+        assert not out.array.flags.writeable
+    assert scale(x, 3.0).item() == -6.0
+
+
 def test_relu_grad_at_zero_is_zero():
     x = Tensor([0.0, -1.0, 3.0])
     with Graph() as g:
@@ -155,6 +185,28 @@ def test_concat_and_grads():
         concat([])
     with pytest.raises(DimensionError):
         concat([a, Tensor([[1.0], [2.0]])])
+
+
+def test_concat_backward_slices_the_output_grad():
+    rng = np.random.default_rng(8)
+    parts = [Tensor(rng.standard_normal((2, 3, n))) for n in (4, 1, 5)]
+    with Graph() as g:
+        out = concat(parts)
+    g_out = rng.standard_normal(out.shape)
+    kept = g_out.copy()
+    _, _, bwd = g.ops[-1]
+    pieces = bwd(g_out)
+    want = np.split(kept, [4, 5], axis=-1)
+    assert [p.tobytes() for p in pieces] == [w.tobytes() for w in want]
+    # the same input twice: its first piece aliases out's grad, which
+    # backward must not add the second piece into
+    a, c = parts[0], Tensor(rng.standard_normal((2, 3, 8)))
+    with Graph() as g:
+        out = concat([a, a])
+        loss = sum_all(mul(out, c))
+    backward(g, loss)
+    assert out.grad.tobytes() == c.array.tobytes()
+    assert a.grad.tobytes() == (c.array[..., :4] + c.array[..., 4:]).tobytes()
 
 
 def test_softmax_fixtures():

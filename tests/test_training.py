@@ -61,6 +61,32 @@ def test_adam_is_deterministic():
     assert np.array_equal(run(), run())
 
 
+def test_adam_matches_the_out_of_place_formula_bit_for_bit():
+    config = TrainConfig(learning_rate=1e-2)
+    rng = np.random.default_rng(56)
+    params = {"w": Tensor(rng.standard_normal((3, 4))), "b": Tensor(rng.standard_normal(4))}
+    state = AdamState()
+    want = {name: p.array for name, p in params.items()}
+    m = {name: np.zeros(p.shape) for name, p in params.items()}
+    v = {name: np.zeros(p.shape) for name, p in params.items()}
+    for t in range(1, 7):
+        grads = {name: rng.standard_normal(p.shape) * 10.0 ** (t - 3) for name, p in params.items()}
+        params = adam_step(params, grads, state, config)
+        if t == 1:
+            moments = (state.m["w"], state.v["w"])
+        for name, g in grads.items():
+            m[name] = config.beta1 * m[name] + (1.0 - config.beta1) * g
+            v[name] = config.beta2 * v[name] + (1.0 - config.beta2) * g * g
+            step_dir = ((m[name] / (1.0 - config.beta1 ** t))
+                        / (np.sqrt(v[name] / (1.0 - config.beta2 ** t)) + config.epsilon))
+            want[name] = want[name] - config.learning_rate * step_dir
+            assert params[name].array.tobytes() == want[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+    # the moments are updated in place: the arrays of the first step are still the state's
+    assert state.m["w"] is moments[0] and state.v["w"] is moments[1]
+
+
 def test_adam_missing_or_misshapen_grads():
     params = {"w": Tensor([1.0]), "b": Tensor([0.0])}
     with pytest.raises(UsageError) as err:
