@@ -8,11 +8,13 @@ the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
 read through `_table`, which takes the id and integer cells of each
-record with str.split and int(), and parses every float of the file
-with one np.loadtxt call, so every CSV file has the same float grammar
-and reports a malformed record the same way, at path:line.
-Every file is written through `replacing`, a row at a time: text cells
-go through `_cell` and floats through `_reprs`.
+record with str.split and int() over ASCII digits, and parses every
+float of the file with one np.loadtxt call, so every CSV file has the
+same number grammar and reports a malformed record the same way, at
+path:line.
+Every file is written through `replacing`, a row at a time (volumes.csv
+an event at a time, formatted on every available CPU): text cells go
+through `_cell` and floats through `_reprs`.
 """
 
 import csv
@@ -20,6 +22,7 @@ import itertools
 import math
 import os
 import re
+import signal
 from collections import Counter
 from contextlib import contextmanager, suppress
 
@@ -35,6 +38,8 @@ from .tensor import Tensor
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
+# the one integer form: int() also takes 1_000, padding and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 # loadtxt numbers rows from 0 and columns from 1
 _LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\d+), column (\d+)\.", re.S)
 
@@ -42,10 +47,10 @@ _LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\
 @contextmanager
 def _table(path, fixed, ints):
     """Open the CSV file at path and read it as a table: column 0 is a
-    text id, the columns numbered in ints are integers (int()) and every
-    other column is a float, all of the file's floats parsed by one
-    np.loadtxt call.  The header must start with fixed and name no
-    column twice.
+    text id, the columns numbered in ints are integers (ASCII digits with
+    an optional sign) and every other column is a float, all of the
+    file's floats parsed by one np.loadtxt call.  The header must start
+    with fixed and name no column twice.
 
     Yields (header, rows); rows gives (line, [id, *ints], values) for
     each data record, values being its floats in column order.  Lines
@@ -53,12 +58,12 @@ def _table(path, fixed, ints):
     file is parsed as the caller starts on rows, and its first fault (a
     field count, a number that does not parse, an integer beyond int64,
     a NaN or infinity) is raised as a ParseError naming path:line and,
-    for a float or an integer beyond int64, its column; a byte that is
-    not UTF-8 is left to open_text.  Only then does the caller check
-    records: a ValidationError or DimensionError it raises while
-    handling one gains the record's path:line and keeps its class.  NaN
-    and infinity are looked for once every float has parsed, and unlike
-    float(), loadtxt refuses `1_000` and non-ASCII digits.
+    for a number, its column; a byte that is not UTF-8 is left to
+    open_text.  Only then does the caller check records: a
+    ValidationError or DimensionError it raises while handling one gains
+    the record's path:line and keeps its class.  NaN and infinity are
+    looked for once every float has parsed.  Unlike float() and int(),
+    both number grammars refuse `1_000` and non-ASCII digits.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
@@ -103,10 +108,10 @@ def _table(path, fixed, ints):
                     fields = text.split(",", lead)
                 if count != width:
                     raise fault(row, f"expected {width} fields, got {count}")
-                try:
-                    numbers = [int(fields[c]) for c in ints]
-                except ValueError as exc:
-                    raise fault(row, exc) from None
+                bad = next((c for c in ints if not _INTEGER.fullmatch(fields[c])), None)
+                if bad is not None:
+                    raise fault(row, f"invalid integer {fields[bad]!r} in column {header[bad]}")
+                numbers = [int(fields[c]) for c in ints]
                 if min(numbers) < -2 ** 63 or max(numbers) >= 2 ** 63:
                     c = next(c for c, n in zip(ints, numbers) if not -2 ** 63 <= n < 2 ** 63)
                     raise fault(row, f"integer {fields[c]} is beyond int64 in column {header[c]}")
@@ -382,23 +387,82 @@ def load_events(path):
     return events, channels
 
 
+def _volume_rows(event_id, block):
+    """The volumes.csv rows of one event's ScanBlock, as one string."""
+    key = _cell(event_id)
+    _, nx, ny, nz = block.grids.shape
+    # one row per scan: the missing marker, then the flattened grid
+    table = np.column_stack((block.missing, block.grids.reshape(len(block.grids), nx * ny * nz)))
+    return "".join(f"{key},{stamp},{nx},{ny},{nz},{_reprs(row)}\n"
+                   for stamp, row in zip(block.timestamps.tolist(), table.tolist()))
+
+
+def _send_rows(readers, writer, events, scans):
+    """A write_volumes worker: send the rows of each of its events through
+    writer, in order, or the exception that stopped it."""
+    # a Ctrl-C reaches the whole process group; the writing process alone
+    # handles it, and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # with no read end left here, a send fails once the writing process is gone
+    for reader in readers:
+        reader.close()
+    try:
+        for e, block in zip(events, scans):
+            writer.send(_volume_rows(e.event_id, block))
+    except BrokenPipeError:  # the writing process is gone: nothing to tell
+        pass
+    except Exception as exc:
+        writer.send(exc)
+
+
 def write_volumes(path, events, scans):
-    """One CSV row per scan, in event order; scans[i] is the ScanBlock of events[i]."""
+    """One CSV row per scan, in event order; scans[i] is the ScanBlock of events[i].
+
+    The rows are formatted by one forked worker per CPU this process may
+    run on: worker k of n takes events k, k + n, ... and sends each
+    event's rows through its own pipe, and they are written in event
+    order as they arrive.  The workers are joined before the file
+    replaces path; on any exception they are terminated and joined, so
+    none outlives the call.
+    """
+    # imported here, not at module level: the import adds to the peak
+    # RSS of every stage, and only generate writes volumes
+    import multiprocessing
+
     if len(events) != len(scans):
         raise UsageError(f"got {len(events)} events but {len(scans)} scan blocks")
     dims = {block.grids.shape[1:] for block in scans}
     if len(dims) > 1:
         raise DimensionError(f"scan blocks disagree on grid dims: {sorted(dims)}")
     nx, ny, nz = dims.pop() if dims else (0, 0, 0)
+    fork = multiprocessing.get_context("fork")
+    n = len(os.sched_getaffinity(0))
+    workers = []  # (process, the read end of its pipe)
     with replacing(path) as fh:
         fh.write(_header(["event_id", "timestamp", "nx", "ny", "nz", "missing"]
                          + [f"v_{j + 1}" for j in range(nx * ny * nz)]))
-        for e, block in zip(events, scans):
-            key = _cell(e.event_id)
-            # one row per scan: the missing marker, then the flattened grid
-            table = np.column_stack((block.missing, block.grids.reshape(len(block.grids), nx * ny * nz)))
-            fh.writelines(f"{key},{stamp},{nx},{ny},{nz},{_reprs(row)}\n"
-                          for stamp, row in zip(block.timestamps.tolist(), table.tolist()))
+        try:
+            for k in range(n):
+                reader, writer = fork.Pipe(duplex=False)
+                # forked, so the shares are inherited, not pickled
+                readers = [r for _, r in workers] + [reader]
+                worker = fork.Process(target=_send_rows, args=(readers, writer, events[k::n], scans[k::n]))
+                worker.start()
+                writer.close()  # the worker holds the one write end, so its exit reads as EOF
+                workers.append((worker, reader))
+            for i in range(len(events)):
+                rows = workers[i % n][1].recv()
+                if not isinstance(rows, str):
+                    raise rows
+                fh.write(rows)
+        except BaseException:
+            for worker, _ in workers:
+                worker.terminate()
+            raise
+        finally:
+            for worker, reader in workers:
+                worker.join()
+                reader.close()
 
 
 def load_volumes(path):

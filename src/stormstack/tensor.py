@@ -152,6 +152,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads = {id(loss): np.ones_like(loss.array)}
     holders = {id(loss): loss}
+    sums = set()  # ids whose grad is a sum this loop allocated, and no piece aliases
     for out, inputs, backward_fn in reversed(graph.ops):
         g = grads.get(id(out))
         if g is None:
@@ -161,8 +162,16 @@ def backward(graph: Graph, loss: Tensor) -> None:
                 continue
             key = id(t)
             have = grads.get(key)
-            # never mutate a stored grad; pieces may alias the output grad
-            grads[key] = piece if have is None else have + piece
+            if have is None:
+                grads[key] = piece
+            elif key in sums:
+                np.add(have, piece, out=have)
+            else:
+                # pieces may alias the output grad or each other, so the
+                # first sum is a new array; later pieces add into it
+                grads[key] = have = have + piece
+                if have.ndim:  # a 0-d sum is a NumPy scalar, not a buffer
+                    sums.add(key)
             holders[key] = t
     for key, t in holders.items():
         t.grad = grads[key]

@@ -421,6 +421,28 @@ def test_non_ascii_or_underscored_digits_in_metrics_are_data_error(pipeline, tmp
     assert _snapshot(tmp_path) == before
 
 
+# int() takes these in an integer column, where they would read as 26999940, 4 and 10
+@pytest.mark.parametrize("name, column, digits", [
+    ("volumes.csv", 1, lambda cell: cell[:2] + "_" + cell[2:]),
+    ("volumes.csv", 2, lambda cell: "٤"),
+    ("events.csv", 1, lambda cell: "1_0"),
+], ids=("underscored-timestamp", "arabic-indic-nx", "underscored-label"))
+def test_non_ascii_or_underscored_integers_are_data_error(pipeline, tmp_path, capsys, name, column,
+                                                         digits):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / name).read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[column] = digits(fields[column])
+    lines[3] = ",".join(fields)
+    (tmp_path / name).write_text("\n".join(lines), encoding="utf-8")
+    before = _snapshot(tmp_path)
+    assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    header = lines[0].split(",")
+    _one_data_error(capsys, f"{tmp_path / name}:4: ", repr(fields[column]), f"column {header[column]}")
+    assert _snapshot(tmp_path) == before
+
+
 BEYOND_INT64 = "123456789012345678901234567890"
 
 

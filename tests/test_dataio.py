@@ -2,10 +2,18 @@
 
 import csv
 import io
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stormstack import dataio
 from stormstack.config import model_config_lines
 from stormstack.dataio import (
     CHECKPOINT_HEADER,
@@ -34,6 +42,7 @@ from stormstack.metrics import MetricsReport
 from stormstack.model import ModelConfig, expected_param_shapes, forward, init_params
 from stormstack.tensor import Tensor
 
+ROOT = Path(__file__).resolve().parent.parent
 TINY = ModelConfig(steps=4, input_channels=2, conv_layers=((3, 2),),
                    lstm_hidden=2, attention_heads=1, attention_dim=4, seed=3)
 
@@ -644,19 +653,28 @@ def test_write_events_bytes_match_csv_module(tmp_path):
             _bits([sent.latitude, sent.longitude, *sent.auxiliary.values()])
 
 
-def test_write_volumes_bytes_match_csv_module(tmp_path):
-    path = tmp_path / "volumes.csv"
-    events = _edge_events()
+def _edge_scans(events):
     # two scans of a (1, 2, 3) grid per event, the second with the first's values reversed
-    scans = [ScanBlock([950 + i, 960 + i], [-999.0, FLOATS[i]],
-                       np.reshape([np.roll(FLOATS, i), np.roll(FLOATS, i)[::-1]], (2, 1, 2, 3)))
-             for i in range(len(events))]
-    write_volumes(path, events, scans)
+    return [ScanBlock([950 + i, 960 + i], [-999.0, FLOATS[i]],
+                      np.reshape([np.roll(FLOATS, i), np.roll(FLOATS, i)[::-1]], (2, 1, 2, 3)))
+            for i in range(len(events))]
+
+
+def _volumes_bytes(events, scans):
     header = ["event_id", "timestamp", "nx", "ny", "nz", "missing"] + [f"v_{j + 1}" for j in range(6)]
     rows = [[e.event_id, stamp, 1, 2, 3, repr(missing)] + [repr(x) for x in grid.ravel().tolist()]
             for e, block in zip(events, scans)
             for stamp, missing, grid in zip(block.timestamps, block.missing.tolist(), block.grids)]
-    assert path.read_bytes() == _csv_bytes(header, rows)
+    return _csv_bytes(header, rows)
+
+
+def test_write_volumes_bytes_match_csv_module(tmp_path):
+    path = tmp_path / "volumes.csv"
+    events = _edge_events()
+    scans = _edge_scans(events)
+    write_volumes(path, events, scans)
+    assert multiprocessing.active_children() == []  # the workers are joined
+    assert path.read_bytes() == _volumes_bytes(events, scans)
     got = load_volumes(path)
     assert list(got) == IDS
     for sent, loaded in zip(scans, got.values()):
@@ -760,6 +778,118 @@ def test_failed_first_write_leaves_no_file(tmp_path):
     with pytest.raises(KeyError):
         write_events(tmp_path / "events.csv", events, AUX_CHANNELS)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# volumes.csv is formatted by forked workers, which never outlive
+# write_volumes
+
+
+def _python(args, timeout=300, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, **kwargs)
+
+
+# the subprocess pins itself to one CPU, so write_volumes starts one worker
+_ONE_CPU = """\
+import os, pickle, sys
+from stormstack.dataio import write_volumes
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+with open(sys.argv[1], "rb") as fh:
+    events, scans = pickle.load(fh)
+write_volumes(sys.argv[2], events, scans)
+print(len(os.sched_getaffinity(0)))
+"""
+
+
+def test_write_volumes_on_one_cpu_bytes_match_csv_module(tmp_path):
+    events = _edge_events()
+    scans = _edge_scans(events)
+    with open(tmp_path / "blocks.pickle", "wb") as fh:
+        pickle.dump((events, scans), fh)
+    result = _python(["-c", _ONE_CPU, str(tmp_path / "blocks.pickle"), str(tmp_path / "volumes.csv")])
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+    assert (tmp_path / "volumes.csv").read_bytes() == _volumes_bytes(events, scans)
+
+
+def test_failed_volume_formatting_keeps_the_previous_artifact(tmp_path, monkeypatch):
+    # the fourth of five events fails, in a worker, after earlier events are written
+    reprs = dataio._reprs
+
+    def failing(values, sep=","):
+        if values[0] == -7.0:
+            raise ValueError("cannot format")
+        return reprs(values, sep)
+    monkeypatch.setattr(dataio, "_reprs", failing)
+    events = _edge_events()
+    scans = _edge_scans(events)
+    scans[3] = ScanBlock(scans[3].timestamps, [-999.0, -7.0], scans[3].grids)
+    exc = _fails_mid_file(tmp_path, "volumes.csv", lambda p: write_volumes(p, events, scans))
+    assert isinstance(exc, ValueError) and str(exc) == "cannot format"
+    assert multiprocessing.active_children() == []
+
+
+def test_volume_workers_ignore_sigint(tmp_path, monkeypatch):
+    # Ctrl-C's SIGINT reaches the whole process group: the workers leave it
+    # to the writing process, which stops them
+    rows = dataio._volume_rows
+
+    def checked(event_id, block):
+        if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+            raise ValueError("a worker takes SIGINT")
+        return rows(event_id, block)
+    monkeypatch.setattr(dataio, "_volume_rows", checked)
+    handler = signal.getsignal(signal.SIGINT)
+    events = _edge_events()
+    write_volumes(tmp_path / "volumes.csv", events, _edge_scans(events))
+    assert signal.getsignal(signal.SIGINT) is handler
+
+
+# a worker sends Ctrl-C's SIGINT to the process group while it formats the
+# third of 40 events; the rest are far more text than a pipe holds, so the
+# workers are still busy when the writing process stops them, and it
+# removes the temp file
+_INTERRUPTED = """\
+import multiprocessing, os, signal, sys
+import numpy as np
+from stormstack import dataio
+from stormstack.features import EventRecord, ScanBlock
+
+reprs = dataio._reprs
+
+def interrupting(values, sep=","):
+    if values[0] == -7.0:
+        os.killpg(0, signal.SIGINT)
+    return reprs(values, sep)
+
+dataio._reprs = interrupting
+grids = np.random.default_rng(5).standard_normal((40, 1, 1, 1, 2000))
+events = [EventRecord(f"ev{i}", 0, 1.0, 2.0, 3, {}) for i in range(40)]
+scans = [ScanBlock([1], [-7.0 if i == 2 else -999.0], grids[i]) for i in range(40)]
+try:
+    dataio.write_volumes(sys.argv[1], events, scans)
+except KeyboardInterrupt:
+    print(os.listdir(os.path.dirname(sys.argv[1])), multiprocessing.active_children())
+"""
+
+
+def test_interrupted_volume_write_stops_the_workers(tmp_path):
+    path = tmp_path / "volumes.csv"
+    path.write_bytes(b"previous artifact\n")
+    # a worker left running would block on a full pipe, and the write with it
+    result = _python(["-c", _INTERRUPTED, str(path)], timeout=60, start_new_session=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "['volumes.csv'] []\n", "")
+    assert path.read_bytes() == b"previous artifact\n"
+
+
+def test_generate_writes_nothing_to_stderr(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 2\ndata.steps = 3\ndata.grid = 4x4x2\ndata.cell = 2x2x1\n")
+    result = _python(["-m", "stormstack", "generate", "--config", str(config), "--out", str(tmp_path)])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("generated 6 events")
 
 
 # ---------------------------------------------------------------------------

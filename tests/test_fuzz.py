@@ -2,13 +2,15 @@
 
 Valid copies of `volumes.csv` and `events.csv` (read by `featurize`), of
 a split file (read by `predict --input`), of `metrics_model.csv` (read
-by `report`) and of `model.ckpt` (read by `predict`) are mutated by
+by `report`), of `model.ckpt` (read by `predict`) and of the run config
+(read by `report`, the cheapest stage that reads one) are mutated by
 byte flips, truncations, field swaps and duplicated lines, drawn from
 a seeded SplitMix64 stream.  Every mutant must exit 0 or 2 with at most
 one stderr line (a data error on exit 2), and raise no exception and no
 warning; no CSV mutant may exit 3.  A checkpoint mutant may also exit 3
 with one numeric error line, as a weight mutated to a huge value makes
-the forward pass overflow.
+the forward pass overflow.  A config mutant may also exit 1 with one
+usage error line, for an unknown key or a file that is not UTF-8.
 
 The Tier-1 run is a fixed-seed subset of a few seconds.  Set LONG_RUN
 to True for the long run.
@@ -91,7 +93,7 @@ def _mutants(data, seed):
         yield mutant, names
 
 
-ERROR_LINES = {2: "data error: ", 3: "numeric error: "}
+ERROR_LINES = {1: "usage error: ", 2: "data error: ", 3: "numeric error: "}
 
 
 def _check_exit(argv, capsys, what, codes=(0, 2)):
@@ -156,3 +158,13 @@ def test_mutated_checkpoint_exits_0_2_or_3(run, tmp_path, capsys):
     for k, (mutant, names) in enumerate(_mutants((source / "model.ckpt").read_bytes(), 1205)):
         mutated.write_bytes(mutant)
         _check_exit(argv, capsys, f"checkpoint mutant {k} ({', '.join(names)})", (0, 2, 3))
+
+
+def test_mutated_config_exits_0_1_or_2(run, tmp_path, capsys):
+    config, source = run
+    shutil.copy(source / "metrics_model.csv", tmp_path)
+    mutated = tmp_path / "run.cfg"
+    argv = ["report", "--config", str(mutated), "--out", str(tmp_path)]
+    for k, (mutant, names) in enumerate(_mutants(config.read_bytes(), 1206)):
+        mutated.write_bytes(mutant)
+        _check_exit(argv, capsys, f"config mutant {k} ({', '.join(names)})", (0, 1, 2))

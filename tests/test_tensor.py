@@ -248,6 +248,47 @@ def test_backward_accumulates_over_reuse():
     assert list(x.grad) == [2.0]
 
 
+def _out_of_place_grads(graph, loss):
+    """backward's sums with every accumulation a new array: {id: grad}."""
+    grads = {id(loss): np.ones_like(loss.array)}
+    for out, inputs, backward_fn in reversed(graph.ops):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for t, piece in zip(inputs, backward_fn(g)):
+            if piece is not None:
+                have = grads.get(id(t))
+                grads[id(t)] = piece if have is None else have + piece
+    return grads
+
+
+def test_backward_in_place_sums_match_out_of_place_bits():
+    # a gets add(a, a)'s aliased pieces and concat([a, a])'s slices; v
+    # gets a slice of out's grad first, then add's piece (the same slice
+    # of out's grad, through s), then a product it is added into in place
+    rng = np.random.default_rng(15)
+    a, v, d = (Tensor(rng.standard_normal((2, 3, 4))) for _ in range(3))
+    w = Tensor(rng.standard_normal((2, 3, 20)))
+    with Graph() as g:
+        m = mul(v, d)
+        s = add(v, m)
+        y = add(a, a)
+        c = concat([a, a])
+        out = concat([y, c, v, s])
+        loss = sum_all(mul(out, w))
+    backward(g, loss)
+    want = _out_of_place_grads(g, loss)
+    tensors = (a, v, d, w, m, s, y, c, out, loss)
+    # the grads handed to each backward_fn (out's, y's, s's, ...) are unchanged
+    assert [t.grad.tobytes() for t in tensors] == [want[id(t)].tobytes() for t in tensors]
+    # a 0-d sum is a NumPy scalar, which a third piece cannot be added into
+    x = Tensor(np.array(1.5))
+    with Graph() as g:
+        loss = add(mul(x, x), x)
+    backward(g, loss)
+    assert np.asarray(x.grad).tobytes() == np.asarray(_out_of_place_grads(g, loss)[id(x)]).tobytes()
+
+
 def test_no_graph_means_no_tape():
     x = Tensor([1.0])
     y = mul(x, x)   # outside any Graph
