@@ -11,7 +11,8 @@ Artifacts live under the output directory (--out, default runs/):
     run_config.txt               resolved configuration echo
 
 Exit status: 0 success, 1 usage error, 2 data or validation error,
-3 numeric failure; each error prints one diagnostic line on stderr.
+3 numeric failure, 130 interrupted (Ctrl-C); each error prints one
+diagnostic line on stderr.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import dataio
-from .config import resolve, resolved_lines
+from .config import integer, resolve, resolved_lines
 from .errors import DataError, NumericError, StormError, UsageError, ValidationError
 from .features import AUX_CHANNELS, SequenceSet, balance, build_sample, split
 from .metrics import evaluate, format_metrics_row, render_table
@@ -64,19 +65,22 @@ def cmd_generate(cfg, args):
 
 def cmd_featurize(cfg, args):
     events, channels = dataio.load_events(_out(cfg, "events.csv"))
-    scans = dataio.load_volumes(_out(cfg, "volumes.csv"))
+    volumes = _out(cfg, "volumes.csv")
+    scans, first_lines = dataio.load_volumes(volumes)
     missing = [e.event_id for e in events if e.event_id not in scans]
     if missing:
         raise ValidationError(f"no volumes for events {missing[:5]} (of {len(missing)})")
     unknown = sorted(scans.keys() - {e.event_id for e in events})
     if unknown:
         raise ValidationError(f"volumes for events not in events.csv {unknown[:5]} (of {len(unknown)})")
-    samples = SequenceSet(
-        [e.event_id for e in events],
-        [e.label for e in events],
-        [build_sample(e, scans[e.event_id], threshold=cfg.threshold, channels=channels,
-                      kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r) for e in events],
-    )
+    matrices = []
+    for e in events:
+        try:
+            matrices.append(build_sample(e, scans[e.event_id], threshold=cfg.threshold, channels=channels,
+                                         kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r))
+        except ValidationError as exc:  # a fault in the event's scans: name its first row
+            raise ValidationError(f"{volumes}:{first_lines[e.event_id]}: {exc}") from None
+    samples = SequenceSet([e.event_id for e in events], [e.label for e in events], matrices)
     balanced = balance(samples, cfg.seed)
     parts = split(balanced, cfg.fractions, cfg.seed)
     _write_run_log(cfg)
@@ -213,12 +217,12 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", metavar="PATH", help="key=value config file")
-        sub.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+        sub.add_argument("--seed", type=integer, metavar="N", help="override the config seed")
         sub.add_argument("--out", metavar="DIR", help="artifact directory (default runs/)")
         if name == "evaluate":
             sub.add_argument("--baselines", metavar="LIST", default="",
                              help="comma-separated subset of knn,rnn,lstm,bilstm")
-            sub.add_argument("--positive-class", type=int, default=0, metavar="N",
+            sub.add_argument("--positive-class", type=integer, default=0, metavar="N",
                              choices=(0, 1, 2), help="one-vs-rest positive class (default 0)")
         if name == "predict":
             sub.add_argument("--checkpoint", metavar="PATH", help="model file (default OUT/model.ckpt)")
@@ -249,6 +253,9 @@ def main(argv=None):
     except OSError as exc:  # readers raise DataError instead, so a write failed
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # every temp file and worker is gone by now
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Run configuration: defaults, `key=value` config files, flag
-overrides, and the value codecs that checkpoint headers share.
+overrides, the value codecs that checkpoint headers share, and the
+number grammar of every input.
 
 Keys are sectioned by prefix: `data.` for generation/featurization,
 `kalman.` for smoothing, `model.` for the architecture, `train.` for
@@ -10,7 +11,8 @@ reproduced from it alone.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import dataclass, field, fields
 
 from .errors import DimensionError, ParseError, UsageError, ValidationError, open_text
 from .model import ModelConfig, recurrent_width
@@ -18,37 +20,98 @@ from .synthetic import SyntheticConfig
 from .training import TrainConfig
 
 
+# The number grammar of every input: config values, --seed, checkpoints
+# and CSV cells.  An integer is ASCII digits with an optional sign; a
+# float is what float() reads from plain text, as np.loadtxt does, and
+# must be finite.  int() and float() alone also take `1_000` and
+# non-ASCII digits, and int() takes padding.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def plain(text):
+    """ASCII text holding no `_`: float() reads it as np.loadtxt does."""
+    return text.isascii() and "_" not in text
+
+
+def integer(text):
+    if not INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def real(text):
+    if not (plain(text) and math.isfinite(value := float(text))):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# the blanks around a key, a value and each `,`- or `x`-separated part
+_LAYOUT = " \t\r\n"
+
+
+def _parts(text, sep, parse):
+    return tuple(parse(part.strip(_LAYOUT)) for part in text.split(sep))
+
+
+def _parse_bool(text):
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def _parse_conv(text):
+    pairs = (part.partition("x") for part in text.split(",")) if text else ()
+    return tuple((integer(f.strip(_LAYOUT)), integer(k.strip(_LAYOUT))) for f, _, k in pairs)
+
+
+# (parse, render) pairs; parse raises ValueError on malformed text
+_INT = (integer, str)
+_FLOAT = (real, repr)
+_TEXT = (str, str)
+_FLOATS = (lambda text: _parts(text, ",", real), lambda values: ",".join(repr(v) for v in values))
+_DIMS = (lambda text: _parts(text, "x", integer), lambda dims: "x".join(map(str, dims)))
+_CONV = (_parse_conv, lambda layers: ",".join(f"{f}x{k}" for f, k in layers))
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+# input standardization stays empty until standardize_inputs fills it
+_OPTIONAL_FLOATS = (lambda text: _FLOATS[0](text) if text else (), _FLOATS[1])
+
+
+def _key(key, codec, default):
+    """A RunConfig field: its config file key, its codec and its default."""
+    return field(default=default, metadata={"key": key, "codec": codec})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 42
-    out_dir: str = "runs"
-    threshold: float = 45.0
-    fractions: tuple = (0.8, 0.1, 0.1)
-    samples_per_class: int = 500
-    steps: int = 12
-    grid: tuple = (8, 8, 4)
-    cell: tuple = (3, 3, 2)
-    base_dbz: tuple = (20.0, 18.0, 14.0)
-    peak_dbz: tuple = (55.0, 48.0, 35.0)
-    rho: float = 0.85
-    sigma: float = 5.0
-    kalman_q: float = 0.01
-    kalman_r: float = 1.0
-    conv_layers: tuple = ((32, 3), (32, 3))
-    lstm_hidden: int = 64
-    attention_heads: int = 4
-    attention_dim: int = 0  # 0 = recurrent width / heads
-    conv_padding: str = "valid"
-    recurrent: str = "bilstm"
-    attention: bool = True
-    knn_k: int = 5
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    seed: int = _key("seed", _INT, 42)
+    out_dir: str = _key("data.out_dir", _TEXT, "runs")
+    threshold: float = _key("data.threshold", _FLOAT, 45.0)
+    fractions: tuple = _key("data.fractions", _FLOATS, (0.8, 0.1, 0.1))
+    samples_per_class: int = _key("data.samples_per_class", _INT, 500)
+    steps: int = _key("data.steps", _INT, 12)
+    grid: tuple = _key("data.grid", _DIMS, (8, 8, 4))
+    cell: tuple = _key("data.cell", _DIMS, (3, 3, 2))
+    base_dbz: tuple = _key("data.base_dbz", _FLOATS, (20.0, 18.0, 14.0))
+    peak_dbz: tuple = _key("data.peak_dbz", _FLOATS, (55.0, 48.0, 35.0))
+    rho: float = _key("data.rho", _FLOAT, 0.85)
+    sigma: float = _key("data.sigma", _FLOAT, 5.0)
+    kalman_q: float = _key("kalman.q", _FLOAT, 0.01)
+    kalman_r: float = _key("kalman.r", _FLOAT, 1.0)
+    conv_layers: tuple = _key("model.conv", _CONV, ((32, 3), (32, 3)))
+    lstm_hidden: int = _key("model.hidden", _INT, 64)
+    attention_heads: int = _key("model.heads", _INT, 4)
+    attention_dim: int = _key("model.head_dim", _INT, 0)  # 0 = recurrent width / heads
+    conv_padding: str = _key("model.padding", _TEXT, "valid")
+    recurrent: str = _key("model.recurrent", _TEXT, "bilstm")
+    attention: bool = _key("model.attention", _BOOL, True)
+    knn_k: int = _key("model.knn_k", _INT, 5)
+    learning_rate: float = _key("train.learning_rate", _FLOAT, 1e-3)
+    batch_size: int = _key("train.batch_size", _INT, 32)
+    max_epochs: int = _key("train.max_epochs", _INT, 100)
+    patience: int = _key("train.patience", _INT, 10)
+    beta1: float = _key("train.beta1", _FLOAT, 0.9)
+    beta2: float = _key("train.beta2", _FLOAT, 0.999)
+    epsilon: float = _key("train.epsilon", _FLOAT, 1e-8)
 
     def _build(self, cls, **overrides):
         """cls built from every RunConfig field it declares under the
@@ -87,71 +150,8 @@ class RunConfig:
                            attention_dim=head_dim, recurrent=recurrent, attention=attention)
 
 
-def _parse_bool(text):
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text == "true"
-
-
-def _parse_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _parse_floats(text):
-    return tuple(_parse_float(p) for p in text.split(","))
-
-
-def _parse_conv(text):
-    pairs = (part.partition("x") for part in text.split(",")) if text else ()
-    return tuple((int(f), int(k)) for f, _, k in pairs)
-
-
-# (parse, render) pairs; parse raises ValueError on malformed text
-_INT = (int, str)
-_FLOAT = (_parse_float, repr)
-_TEXT = (str, str)
-_FLOATS = (_parse_floats, lambda values: ",".join(repr(v) for v in values))
-_DIMS = (lambda text: tuple(int(p) for p in text.split("x")), lambda dims: "x".join(map(str, dims)))
-_CONV = (_parse_conv, lambda layers: ",".join(f"{f}x{k}" for f, k in layers))
-_BOOL = (_parse_bool, lambda v: "true" if v else "false")
-# input standardization stays empty until standardize_inputs fills it
-_OPTIONAL_FLOATS = (lambda text: _parse_floats(text) if text else (), _FLOATS[1])
-
 # run config key -> (RunConfig field, codec)
-_KEYS = {
-    "seed": ("seed", _INT),
-    "data.out_dir": ("out_dir", _TEXT),
-    "data.threshold": ("threshold", _FLOAT),
-    "data.fractions": ("fractions", _FLOATS),
-    "data.samples_per_class": ("samples_per_class", _INT),
-    "data.steps": ("steps", _INT),
-    "data.grid": ("grid", _DIMS),
-    "data.cell": ("cell", _DIMS),
-    "data.base_dbz": ("base_dbz", _FLOATS),
-    "data.peak_dbz": ("peak_dbz", _FLOATS),
-    "data.rho": ("rho", _FLOAT),
-    "data.sigma": ("sigma", _FLOAT),
-    "kalman.q": ("kalman_q", _FLOAT),
-    "kalman.r": ("kalman_r", _FLOAT),
-    "model.conv": ("conv_layers", _CONV),
-    "model.hidden": ("lstm_hidden", _INT),
-    "model.heads": ("attention_heads", _INT),
-    "model.head_dim": ("attention_dim", _INT),
-    "model.padding": ("conv_padding", _TEXT),
-    "model.recurrent": ("recurrent", _TEXT),
-    "model.attention": ("attention", _BOOL),
-    "model.knn_k": ("knn_k", _INT),
-    "train.learning_rate": ("learning_rate", _FLOAT),
-    "train.batch_size": ("batch_size", _INT),
-    "train.max_epochs": ("max_epochs", _INT),
-    "train.patience": ("patience", _INT),
-    "train.beta1": ("beta1", _FLOAT),
-    "train.beta2": ("beta2", _FLOAT),
-    "train.epsilon": ("epsilon", _FLOAT),
-}
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["codec"]) for f in fields(RunConfig)}
 
 # field -> codec; checkpoint headers write the ModelConfig fields that
 # RunConfig shares exactly as run configs do
@@ -161,37 +161,44 @@ _CODECS = dict(_KEYS.values(), input_channels=_INT, classes=_INT,
 _HEADER_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 
-def _parse(key, field, text, where):
+def _parse(key, name, text, where):
     try:
-        return _CODECS[field][0](text)
+        return _CODECS[name][0](text)
     except ValueError as exc:
         raise ParseError(f"{where}: bad value for {key}: {exc}") from None
 
 
-def parse_config_file(path) -> dict:
-    """Read `key=value` lines; `#` starts a comment, blanks are skipped.
-
-    Returns {RunConfig field: parsed value}; unknown keys, repeated
-    keys and malformed values fail loudly.
-    """
-    values, seen = {}, {}
-    with open_text(path, UsageError, "config file") as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+def read_items(lines, path, noun, first=1):
+    """Read `key=value` lines, numbered from first, into {key: (line,
+    value text)}.  `#` starts a comment, blank lines are skipped and
+    layout blanks around a key or value are dropped.  A line without `=`,
+    or a key given twice, is a ParseError naming path:line; noun names
+    what the keys configure."""
+    items = {}
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.split("#", 1)[0].strip(_LAYOUT)
         if not line:
             continue
-        if "=" not in line:
+        key, eq, text = (part.strip(_LAYOUT) for part in line.partition("="))
+        if not eq:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
+        if key in items:
+            raise ParseError(f"{path}:{lineno}: repeated {noun} key {key!r} (first on line {items[key][0]})")
+        items[key] = (lineno, text)
+    return items
+
+
+def parse_config_file(path) -> dict:
+    """{RunConfig field: parsed value} from a config file's `key=value`
+    lines (see read_items); an unknown key or a malformed value fails."""
+    with open_text(path, UsageError, "config file") as fh:
+        lines = fh.readlines()
+    values = {}
+    for key, (lineno, text) in read_items(lines, path, "config").items():
         if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in seen:
-            raise ParseError(f"{path}:{lineno}: repeated config key {key!r} (first on line {seen[key]})")
-        seen[key] = lineno
-        field = _KEYS[key][0]
-        values[field] = _parse(key, field, text.strip(), f"{path}:{lineno}")
+        name = _KEYS[key][0]
+        values[name] = _parse(key, name, text, f"{path}:{lineno}")
     return values
 
 
@@ -220,17 +227,12 @@ def parse_model_config(items, path) -> ModelConfig:
 
 def resolve(config_path=None, seed=None, out_dir=None) -> RunConfig:
     """Defaults, then the config file, then flag overrides."""
-    cfg = RunConfig()
-    if config_path is not None:
-        cfg = replace(cfg, **parse_config_file(config_path))
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    return cfg
+    values = parse_config_file(config_path) if config_path is not None else {}
+    flags = {"seed": seed, "out_dir": out_dir}
+    return RunConfig(**{**values, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def resolved_lines(cfg: RunConfig):
     """The full configuration as `key=value` lines, one per key, in a
     fixed order; parsing them back reproduces cfg exactly."""
-    return [f"{key}={render(getattr(cfg, field))}" for key, (field, (_, render)) in _KEYS.items()]
+    return [f"{key}={render(getattr(cfg, name))}" for key, (name, (_, render)) in _KEYS.items()]

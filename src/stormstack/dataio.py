@@ -8,7 +8,7 @@ the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
 read through `_table`, which takes the id and integer cells of each
-record with str.split and int() over ASCII digits, and parses every
+record with str.split and the config integer form, and parses every
 float of the file with one np.loadtxt call, so every CSV file has the
 same number grammar and reports a malformed record the same way, at
 path:line.
@@ -28,7 +28,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .config import model_config_lines, parse_model_config
+from .config import INTEGER, integer, model_config_lines, parse_model_config, plain, read_items
 from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
 from .features import EventRecord, ScanBlock, SequenceSet
 from .metrics import LABELS, MetricsReport
@@ -38,8 +38,6 @@ from .tensor import Tensor
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
-# the one integer form: int() also takes 1_000, padding and non-ASCII digits
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 # loadtxt numbers rows from 0 and columns from 1
 _LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\d+), column (\d+)\.", re.S)
 
@@ -62,8 +60,9 @@ def _table(path, fixed, ints):
     open_text.  Only then does the caller check records: a
     ValidationError or DimensionError it raises while handling one gains
     the record's path:line and keeps its class.  NaN and infinity are
-    looked for once every float has parsed.  Unlike float() and int(),
-    both number grammars refuse `1_000` and non-ASCII digits.
+    looked for once every float has parsed.  Numbers take the grammar
+    of config.py: unlike int() and float(), it refuses `1_000`, non-ASCII
+    digits and non-ASCII padding.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
@@ -108,7 +107,7 @@ def _table(path, fixed, ints):
                     fields = text.split(",", lead)
                 if count != width:
                     raise fault(row, f"expected {width} fields, got {count}")
-                bad = next((c for c in ints if not _INTEGER.fullmatch(fields[c])), None)
+                bad = next((c for c in ints if not INTEGER.fullmatch(fields[c])), None)
                 if bad is not None:
                     raise fault(row, f"invalid integer {fields[bad]!r} in column {header[bad]}")
                 numbers = [int(fields[c]) for c in ints]
@@ -119,6 +118,11 @@ def _table(path, fixed, ints):
                 if floats:
                     tail = (",".join(_cell(fields[c]) for c in floats) if quoted
                             else ",".join([fields[c] for c in pick]))
+                    if not tail.isascii():  # loadtxt would take a float padded with a non-ASCII blank
+                        cells = fields if quoted else text.split(",")
+                        c = next(c for c in floats if not cells[c].isascii())
+                        raise fault(row, f"could not convert string {cells[c]!r} to float64"
+                                         f" in column {header[c]}")
                     yield tail or '""'  # loadtxt skips an empty line; this fails to convert
 
         def parse():
@@ -158,16 +162,6 @@ def _table(path, fixed, ints):
             if not line:
                 raise
             raise type(exc)(f"{path}:{line}: {exc}") from None
-
-
-def _floats(fields):
-    """Parse text fields as float64 (the values float() gives); a NaN or
-    infinity raises ValueError naming it."""
-    values = np.array(fields, dtype=np.float64)
-    ok = np.isfinite(values)
-    if not ok.all():
-        raise ValueError(f"non-finite value {float(values[np.argmin(ok)])!r}")
-    return values
 
 
 @contextmanager
@@ -298,50 +292,43 @@ def load_checkpoint(path):
         lines = [line.rstrip("\r\n") for line in fh] or [""]
     if lines[0] != CHECKPOINT_HEADER:
         raise ParseError(f"{path}: expected header {CHECKPOINT_HEADER!r}, got {lines[0]!r}")
-    pos = 1
-    items = {}
-    while pos < len(lines) and lines[pos] and not lines[pos].startswith("@"):
-        line = lines[pos]
-        if "=" not in line:
-            raise ParseError(f"{path}:{pos + 1}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        if key in items:
-            raise ParseError(f"{path}:{pos + 1}: repeated checkpoint config key {key!r}")
-        items[key] = (pos + 1, value)
-        pos += 1
-    config = parse_model_config(items, path)
+    # the config lines run to the first blank or @ line
+    pos = next((i for i in range(1, len(lines)) if lines[i][:1] in ("", "@")), len(lines))
+    config = parse_model_config(read_items(lines[1:pos], path, "checkpoint config", 2), path)
     expected = expected_param_shapes(config)
     params = {}
     while pos < len(lines):
-        line = lines[pos]
+        line, pos = lines[pos], pos + 1  # pos is now the line number of line
         if not line:
-            pos += 1
             continue
         if not line.startswith("@"):
-            raise ParseError(f"{path}:{pos + 1}: expected a @parameter block, got {line!r}")
-        name, *dims = line[1:].split() or [""]
+            raise ParseError(f"{path}:{pos}: expected a @parameter block, got {line!r}")
+        name, *dims = line[1:].split(" ")
         if name not in expected:
-            raise ValidationError(f"{path}:{pos + 1}: unknown parameter {name!r}")
+            raise ValidationError(f"{path}:{pos}: unknown parameter {name!r}")
         if name in params:
-            raise ValidationError(f"{path}:{pos + 1}: duplicate parameter {name!r}")
+            raise ValidationError(f"{path}:{pos}: duplicate parameter {name!r}")
         try:
-            shape = tuple(int(d) for d in dims)
+            shape = tuple(map(integer, dims))
         except ValueError:
-            raise ParseError(f"{path}:{pos + 1}: bad dimensions in {line!r}") from None
+            raise ParseError(f"{path}:{pos}: bad dimensions in {line!r}") from None
         if shape != expected[name]:
-            raise DimensionError(
-                f"{path}:{pos + 1}: parameter {name} has shape {shape}, config requires {expected[name]}"
-            )
-        count = int(np.prod(shape))
-        chunks, got, start = [], 0, pos + 1
-        pos += 1
+            raise DimensionError(f"{path}:{pos}: parameter {name} has shape {shape},"
+                                 f" config requires {expected[name]}")
+        count, start, chunks, got = int(np.prod(shape)), pos, [], 0
         while got < count and pos < len(lines) and not lines[pos].startswith("@"):
-            try:
-                chunks.append(_floats(lines[pos].split()))
+            line, pos = lines[pos], pos + 1
+            try:  # one call parses the line, and plain text reads as float() does
+                if not plain(line):
+                    raise ValueError(f"could not convert string to float in {line!r}")
+                values = np.array(line.split(), dtype=np.float64)
             except ValueError as exc:
-                raise ParseError(f"{path}:{pos + 1}: {exc}") from None
-            got += chunks[-1].size
-            pos += 1
+                raise ParseError(f"{path}:{pos}: {exc}") from None
+            ok = np.isfinite(values)
+            if not ok.all():
+                raise ParseError(f"{path}:{pos}: non-finite value {float(values[np.argmin(ok)])!r}")
+            chunks.append(values)
+            got += values.size
         if got != count:
             state = f"incomplete block for {name}" if got < count else f"block for {name} is too long"
             raise ParseError(f"{path}:{start}: {state}: got {got} of {count} values")
@@ -466,13 +453,14 @@ def write_volumes(path, events, scans):
 
 
 def load_volumes(path):
-    """Returns {event_id: ScanBlock} in order of first appearance; the
-    rows of one event need not be adjacent and stack in file order.
-    Every row must carry the first row's grid dims."""
+    """Returns ({event_id: ScanBlock}, {event_id: line of its first row}),
+    in order of first appearance; the rows of one event need not be
+    adjacent and stack in file order.  Every row must carry the first
+    row's grid dims."""
     fixed = ("event_id", "timestamp", "nx", "ny", "nz", "missing")
     with _table(path, fixed, (1, 2, 3, 4)) as (header, rows):
-        cells, dims, scans = len(header) - 6, None, {}
-        for _, (event_id, stamp, *shape), numbers in rows:
+        cells, dims, scans, first_lines = len(header) - 6, None, {}, {}
+        for line, (event_id, stamp, *shape), numbers in rows:
             shape = tuple(shape)
             if shape != dims:
                 if min(shape) < 1:
@@ -482,12 +470,13 @@ def load_volumes(path):
                 if dims:
                     raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
                 dims = shape
+            first_lines.setdefault(event_id, line)
             scans.setdefault(event_id, []).append((stamp, numbers))
     for event_id, entries in scans.items():
         stamps, numbers = zip(*entries)
         table = np.array(numbers)
         scans[event_id] = ScanBlock(stamps, table[:, 0], table[:, 1:].reshape(-1, *dims))
-    return scans
+    return scans, first_lines
 
 
 # ---------------------------------------------------------------------------

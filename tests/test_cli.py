@@ -7,14 +7,17 @@ assert on the artifacts it left behind.
 
 import csv
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from stormstack import cli, model
+from stormstack import cli, dataio, model
 from stormstack.config import RunConfig, parse_config_file, resolve, resolved_lines
 from stormstack.errors import ParseError, UsageError
 
@@ -120,6 +123,9 @@ def test_run_config_echo_reproduces_the_run(pipeline):
     echoed = parse_config_file(out / "run_config.txt")
     resolved = resolve(str(config), None, str(out))
     assert RunConfig(**echoed) == resolved
+    # and renders back to the same bytes
+    assert "".join(line + "\n" for line in resolved_lines(RunConfig(**echoed))) == \
+        (out / "run_config.txt").read_text()
 
 
 def test_evaluate_and_predict_rerun_byte_identical(pipeline):
@@ -355,11 +361,22 @@ def test_non_finite_input_is_data_error(pipeline, tmp_path, capsys):
     _one_data_error(capsys, f"{bad}:4: non-finite value nan")
 
 
-# float() takes these digit forms; the table reader's np.loadtxt does not
-DIGIT_FORMS = ("1_000", "\u0661\u0662", "\uff11")
+# int() and float() read each rewrite of a number below as that number;
+# every input refuses them all: config files, --seed, checkpoints and
+# every CSV cell
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+NUMBER_FORMS = {
+    "underscore": lambda text: re.sub(r"[0-9]", r"0_\g<0>", text, count=1),
+    "arabic-indic": lambda text: text.translate(_ARABIC_INDIC),
+    "fullwidth": lambda text: text.translate(_FULLWIDTH),
+    "padded": lambda text: "\u00a0" + text,  # a no-break space is not layout
+}
+DIGIT_FORMS = [rewrite("1000") for rewrite in NUMBER_FORMS.values()]
+DIGIT_IDS = list(NUMBER_FORMS)
 
 
-@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=DIGIT_IDS)
 def test_non_ascii_or_underscored_digits_in_volumes_are_data_error(pipeline, tmp_path, capsys, digits):
     config, out = pipeline
     _copy(out, tmp_path, "events.csv", "volumes.csv")
@@ -374,7 +391,7 @@ def test_non_ascii_or_underscored_digits_in_volumes_are_data_error(pipeline, tmp
     assert not (tmp_path / "train.csv").exists()
 
 
-@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=DIGIT_IDS)
 def test_non_ascii_or_underscored_digits_in_a_split_file_are_data_error(pipeline, tmp_path, capsys,
                                                                        digits):
     _, out = pipeline
@@ -388,7 +405,7 @@ def test_non_ascii_or_underscored_digits_in_a_split_file_are_data_error(pipeline
     assert not (tmp_path / "predictions.csv").exists()
 
 
-@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=DIGIT_IDS)
 def test_non_ascii_or_underscored_digits_in_events_are_data_error(pipeline, tmp_path, capsys, digits):
     # in an auxiliary channel, where float()'s 1000.0 would be in range
     config, out = pipeline
@@ -406,7 +423,7 @@ def test_non_ascii_or_underscored_digits_in_events_are_data_error(pipeline, tmp_
     assert _snapshot(tmp_path) == before
 
 
-@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=("underscore", "arabic-indic", "fullwidth"))
+@pytest.mark.parametrize("digits", DIGIT_FORMS, ids=DIGIT_IDS)
 def test_non_ascii_or_underscored_digits_in_metrics_are_data_error(pipeline, tmp_path, capsys, digits):
     config, out = pipeline
     _copy(out, tmp_path, "metrics_model.csv", "report.txt")
@@ -508,7 +525,9 @@ def test_all_missing_scan_is_data_error(pipeline, tmp_path, capsys):
     (tmp_path / "volumes.csv").write_text("\n".join(lines))
     code = cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)])
     assert code == 2
-    _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: volume has no non-missing cells")
+    # the fault is named at the line of the event's first row
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:2: event {fields[0]} scan at {fields[1]}:"
+                            " volume has no non-missing cells")
 
 
 def _featurize_refused(config, tmp_path, recwarn):
@@ -531,7 +550,31 @@ def test_overflowing_statistic_is_data_error(pipeline, tmp_path, capsys, recwarn
     lines[2] = ",".join(fields[:6] + ["1e308", "-1e308"] + fields[8:])
     (tmp_path / "volumes.csv").write_text("\n".join(lines))
     assert _featurize_refused(config, tmp_path, recwarn) == 2
-    _one_data_error(capsys, f"event {fields[0]} scan at {fields[1]}: statistic 4 of 6 is not finite (inf)")
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:2: event {fields[0]} scan at {fields[1]}:"
+                            " statistic 4 of 6 is not finite (inf)")
+
+
+# the second event's six scans are lines 8-13; a fault in its timestamps
+# is named at line 8
+@pytest.mark.parametrize("index, stamp, message", [
+    (12, lambda lines: str(2 ** 63 - 1), "volumes must fall in"),
+    (8, lambda lines: str(int(lines[9].split(",")[1]) + 1), "volume timestamps must strictly increase"),
+], ids=("beyond-the-window", "above-the-next-scan"))
+def test_volume_timestamp_faults_name_the_events_first_line(pipeline, tmp_path, capsys, index, stamp,
+                                                            message):
+    config, out = pipeline
+    _copy(out, tmp_path, "events.csv", "volumes.csv")
+    lines = (tmp_path / "volumes.csv").read_text().split("\n")
+    event = lines[7].split(",")[0]
+    assert {line.split(",")[0] for line in lines[7:13]} == {event} != {lines[13].split(",")[0]}
+    fields = lines[index].split(",")
+    fields[1] = stamp(lines)
+    lines[index] = ",".join(fields)
+    (tmp_path / "volumes.csv").write_text("\n".join(lines))
+    before = _snapshot(tmp_path)
+    assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:8: event {event} {message}")
+    assert _snapshot(tmp_path) == before
 
 
 def test_overflowing_smoothing_noise_is_usage_error(pipeline, tmp_path, capsys, recwarn):
@@ -777,3 +820,155 @@ def test_resolved_lines_round_trip(tmp_path):
     echo = tmp_path / "echo.cfg"
     echo.write_text("\n".join(lines) + "\n")
     assert RunConfig(**parse_config_file(str(echo))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# the number grammar in config files, --seed and checkpoints
+
+def _same_number(rewritten, text):
+    parse = float if "." in text else int
+    assert parse(rewritten) == parse(text), (rewritten, text)
+
+
+@pytest.mark.parametrize("form", NUMBER_FORMS)
+@pytest.mark.parametrize("key, before, number, after", [
+    ("seed", "", "5", ""),
+    ("data.rho", "", "0.85", ""),
+    ("data.fractions", "0.5, ", "0.25", ", 0.25"),
+    ("data.grid", "4 x ", "4", " x 2"),
+    ("model.conv", "6 x ", "3", ""),
+])
+def test_config_numbers_take_one_grammar(tmp_path, capsys, form, key, before, number, after):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data.sigma = 2.5\n{key} = {before}{number}{after}\n")
+    parse_config_file(str(config))  # layout blanks around each part are fine
+    rewritten = NUMBER_FORMS[form](number)
+    _same_number(rewritten, number)
+    config.write_text(f"data.sigma = 2.5\n{key} = {before}{rewritten}{after}\n", encoding="utf-8")
+    assert cli.main(["report", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{config}:2: bad value for {key}: ")
+
+
+@pytest.mark.parametrize("form", NUMBER_FORMS)
+def test_seed_flag_takes_the_integer_grammar(tmp_path, capsys, form):
+    assert cli.main(["report", "--seed", "+12", "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, "no metrics_*.csv files found")
+    seed = NUMBER_FORMS[form]("12")
+    _same_number(seed, "12")
+    assert cli.main(["report", "--seed", seed, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"usage error: argument --seed: invalid integer value: {seed!r}\n"
+
+
+# (line prefix, message) of each checkpoint site; the number is the first
+# one after the prefix, and the value line is the one after "@out_b 3"
+_CHECKPOINT_SITES = {
+    "header integer": ("lstm_hidden=", "bad value for lstm_hidden: "),
+    "header float": ("input_shift=", "bad value for input_shift: "),
+    "dims": ("@out_b ", "bad dimensions in "),
+    "value": ("", "could not convert string to float in "),
+}
+
+
+@pytest.mark.parametrize("form", NUMBER_FORMS)
+@pytest.mark.parametrize("site", _CHECKPOINT_SITES)
+def test_checkpoint_numbers_take_one_grammar(pipeline, tmp_path, capsys, form, site):
+    _, out = pipeline
+    prefix, message = _CHECKPOINT_SITES[site]
+    lines = (out / "model.ckpt").read_text().split("\n")
+    index = lines.index("@out_b 3") + 1 if site == "value" else next(
+        i for i, line in enumerate(lines) if line.startswith(prefix))
+    number = re.match(r"[^ ,]+", lines[index][len(prefix):])[0]
+    rewritten = NUMBER_FORMS[form](number)
+    _same_number(rewritten, number)
+    lines[index] = prefix + rewritten + lines[index][len(prefix) + len(number):]
+    bad = tmp_path / "model.ckpt"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(bad), "--input", str(out / "test.csv"),
+                     "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{bad}:{index + 1}: {message}")
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_pipeline_checkpoint_reads_back_to_the_same_bytes(pipeline, tmp_path):
+    _, out = pipeline
+    params, config = dataio.load_checkpoint(out / "model.ckpt")
+    dataio.save_checkpoint(params, config, tmp_path / "model.ckpt")
+    assert (tmp_path / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# stages run in their own process, and in a new session, so a signal sent
+# to the stage's process group reaches nothing else
+
+def _stage(args, **kwargs):
+    env = dict(os.environ, **kwargs.pop("env", {}))
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True, **kwargs)
+
+
+def test_ctrl_c_is_one_line_and_exit_130(tmp_path):
+    # generate on the bench config (300 events), interrupted while it
+    # writes volumes.csv: its workers and its temp file are gone
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 100\ndata.fractions = 0.6,0.2,0.2\n")
+    run = tmp_path / "run"
+    stage = _stage(["-m", "stormstack", "generate", "--config", str(config), "--out", str(run)])
+    try:
+        deadline = time.monotonic() + 120
+        while not list(run.glob("volumes.csv.*.tmp")):
+            assert stage.poll() is None, "generate ended before it wrote volumes.csv"
+            assert time.monotonic() < deadline, "generate never wrote volumes.csv"
+            time.sleep(0.002)
+        os.killpg(stage.pid, signal.SIGINT)
+        _, err = stage.communicate(timeout=60)
+    finally:
+        if stage.poll() is None:
+            os.killpg(stage.pid, signal.SIGKILL)
+            stage.wait()
+    assert (stage.returncode, err) == (130, "interrupted\n")
+    assert list(run.glob("*.tmp")) == [] and not (run / "volumes.csv").exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(stage.pid, 0)
+
+
+# the bench model (conv 32x3,32x3, hidden 64, 4 heads, batch 32) on 72 events
+_PINNED_CONFIG = """\
+seed = 7
+data.samples_per_class = 24
+data.fractions = 0.6,0.2,0.2
+train.max_epochs = 2
+train.patience = 2
+"""
+_TRAIN_AND_PREDICT = """\
+import sys
+from stormstack import cli
+args = ["--config", sys.argv[1], "--out", sys.argv[2]]
+sys.exit(cli.main(["train", *args]) or cli.main(["predict", *args]))
+"""
+
+
+def test_blas_threads_and_hash_seed_change_no_byte(tmp_path):
+    """Training and scoring give the same bytes at 1 and 2 BLAS threads
+    and under any hash seed.  At these shapes OpenBLAS does run some
+    training products on its second thread (its worker thread gathers
+    CPU time during `train`, though not during `predict`), so the pin
+    guards real threaded work, and any later shape change."""
+    config = tmp_path / "run.cfg"
+    config.write_text(_PINNED_CONFIG)
+    for stage in ("generate", "featurize"):
+        assert cli.main([stage, "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    artifacts = {}
+    for threads, hash_seed in ((1, 0), (2, 1), (2, 0), (1, 1)):
+        out = tmp_path / f"threads{threads}-hash{hash_seed}"
+        _copy(tmp_path / "data", out, "train.csv", "val.csv", "test.csv")
+        env = {"OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+               "PYTHONHASHSEED": str(hash_seed)}
+        stage = _stage(["-c", _TRAIN_AND_PREDICT, str(config), str(out)], env=env)
+        _, err = stage.communicate(timeout=300)
+        assert (stage.returncode, err) == (0, ""), out.name
+        artifacts[out.name] = [(out / name).read_bytes()
+                               for name in ("model.ckpt", "train_log.csv", "predictions.csv")]
+    first = next(iter(artifacts.values()))
+    assert [name for name, found in artifacts.items() if found != first] == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stormstack import dataio
-from stormstack.config import model_config_lines
+from stormstack.config import integer, model_config_lines, real
 from stormstack.dataio import (
     CHECKPOINT_HEADER,
     load_checkpoint,
@@ -206,6 +206,20 @@ def test_checkpoint_header_bytes(tmp_path):
         "seed=3\n"
     )
     assert load_checkpoint(path)[1] == cfg
+
+
+def test_checkpoint_config_lines_read_as_config_file_lines(tmp_path):
+    # one key=value reader: layout blanks and comments as in a config file
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    text = path.read_text()
+    path.write_text(text.replace("steps=4\n", "steps = 4\n")
+                    .replace("conv_layers=3x2\n", "\tconv_layers = 3 x 2  # one layer\n"))
+    assert load_checkpoint(path)[1] == TINY
+    path.write_text(text.replace("steps=4\n", "steps=4\nsteps = 5\n"))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}:3: repeated checkpoint config key 'steps' (first on line 2)"
 
 
 def test_checkpoint_keeps_standardization(tmp_path):
@@ -432,8 +446,9 @@ def test_volumes_round_trip(tmp_path):
         "event_id,timestamp,nx,ny,nz,missing,v_1,v_2,v_3,v_4",
         "ev0,950,2,1,2,-999.0,1.0,2.0,3.0,4.0",
     ]
-    got = load_volumes(path)
+    got, first_lines = load_volumes(path)
     assert list(got) == ["ev0", "ev1"]
+    assert first_lines == {"ev0": 2, "ev1": 4}
     assert got["ev0"].timestamps.tolist() == [950, 960]
     for sent, loaded in zip(scans, got.values()):
         assert loaded.grids.shape == sent.grids.shape
@@ -448,8 +463,9 @@ def test_volumes_of_one_event_need_not_be_adjacent(tmp_path):
                     "ev1,950,2,1,1,-999.0,1.0,2.0\n"
                     "ev0,940,2,1,1,-1.0,3.0,4.0\n"
                     "ev1,960,2,1,1,-2.0,5.0,6.0\n")
-    got = load_volumes(path)
+    got, first_lines = load_volumes(path)
     assert list(got) == ["ev1", "ev0"]
+    assert first_lines == {"ev1": 2, "ev0": 3}
     assert got["ev1"].timestamps.tolist() == [950, 960]
     assert got["ev1"].missing.tolist() == [-999.0, -2.0]
     assert got["ev1"].grids.tolist() == [[[[1.0]], [[2.0]]], [[[5.0]], [[6.0]]]]
@@ -675,7 +691,7 @@ def test_write_volumes_bytes_match_csv_module(tmp_path):
     write_volumes(path, events, scans)
     assert multiprocessing.active_children() == []  # the workers are joined
     assert path.read_bytes() == _volumes_bytes(events, scans)
-    got = load_volumes(path)
+    got, _ = load_volumes(path)
     assert list(got) == IDS
     for sent, loaded in zip(scans, got.values()):
         assert loaded.timestamps.tolist() == sent.timestamps.tolist()
@@ -736,7 +752,7 @@ def test_carriage_return_in_an_id_is_quoted(tmp_path):
     assert load_events(tmp_path / "events.csv")[0] == events
     block = ScanBlock([5], [-999.0], np.ones((1, 1, 1, 1)))
     write_volumes(tmp_path / "volumes.csv", events, [block] * 3)
-    assert list(load_volumes(tmp_path / "volumes.csv")) == ids
+    assert list(load_volumes(tmp_path / "volumes.csv")[0]) == ids
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +914,8 @@ def test_generate_writes_nothing_to_stderr(tmp_path):
 # in records (a quoted id holding \n spans two physical lines, one record)
 
 _WIDE = {
-    "volumes": (load_volumes, "event_id,timestamp,nx,ny,nz,missing,v_1,v_2,v_3,v_4\n",
+    "volumes": (lambda path: load_volumes(path)[0],
+                "event_id,timestamp,nx,ny,nz,missing,v_1,v_2,v_3,v_4\n",
                 lambda i: f"ev{i},{950 + i},4,1,1,-999.0,{i}.5,2.0,-3e-05,1e+16\n"),
     "sequences": (load_sequences, "sample_id,t,label,f_1,f_2,f_3,f_4\n",
                   lambda i: f"s{i},0,{i % 3},{i}.5,2.0,-3e-05,1e+16\n"),
@@ -1010,3 +1027,30 @@ def test_wide_readers_keep_quoted_cells_bit_identical(tmp_path, kind):
         assert got.ids == ("s0", "a,b", "s2", 'q"t', "s4")
         assert np.array_equal(got.labels, want.labels)
         assert _bits(got.data) == _bits(want.data)
+
+
+# ---------------------------------------------------------------------------
+# the number grammar: an integer is ASCII digits with an optional sign, a
+# float is what float() reads from ASCII text without `_`, and finite
+
+def test_integer_is_ascii_digits_with_an_optional_sign():
+    assert [integer(text) for text in ("0", "-12", "+7", "007")] == [0, -12, 7, 7]
+    for text in ("1_000", "١٢", "１２", " 12", "12 ", "\u00a012", "1.0", "1e3", "", "+", "0x10"):
+        with pytest.raises(ValueError):
+            integer(text)
+
+
+def test_real_reads_what_the_table_reader_reads(tmp_path):
+    # np.loadtxt alone would also take a float padded with a no-break space
+    texts = ("1.5", "-0.0", "+.5", "5.", "1e-05", "1E+05", " 2.5", "2.5\t", "5e-324", "1e400", "nan",
+             "-Infinity", "1_0", "\u0661", "\uff11", "\u00a01", "1\u3000", "0x10", "1d3", "", ".", "1e")
+    path = tmp_path / "seq.csv"
+    for text in texts:
+        path.write_text(f"sample_id,t,label,f_1\na,0,1,{text}\n", encoding="utf-8")
+        try:
+            want = load_sequences(path).data[0, 0, 0]
+        except ParseError:
+            with pytest.raises(ValueError):
+                real(text)
+        else:
+            assert _bits([real(text)]) == _bits([want]), repr(text)

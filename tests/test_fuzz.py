@@ -16,6 +16,7 @@ The Tier-1 run is a fixed-seed subset of a few seconds.  Set LONG_RUN
 to True for the long run.
 """
 
+import re
 import shutil
 import warnings
 
@@ -108,17 +109,45 @@ def _check_exit(argv, capsys, what, codes=(0, 2)):
         assert err == "", what
     else:
         assert err.startswith(ERROR_LINES[code]) and err.count("\n") == 1, f"{what}: {err!r}"
+    return code, err
+
+
+def _last_changed_line(original, mutant):
+    """The number of the last line of mutant that differs from original;
+    the lines after it are original's last lines.  Lines end as the
+    readers end them, at \\n, \\r or \\r\\n."""
+    old, new = original.splitlines(), mutant.splitlines()
+    same = 0
+    while same < min(len(old), len(new)) and old[-1 - same] == new[-1 - same]:
+        same += 1
+    return len(new) - same
+
+
+# volumes.csv faults that name no line: those of the whole file, and an
+# event whose scan count differs from the first event's
+VOLUMES_FILE_FAULTS = (": byte ", ": header ", "no volumes for events ",
+                       "volumes for events not in events.csv ", " has shape ")
 
 
 def test_mutated_volumes_exit_0_or_2(run, tmp_path, capsys):
+    # a fault found in a record, while the file is parsed or after, names
+    # that record's line or an earlier one (an event's scans are named at
+    # the event's first row)
     config, source = run
     out = tmp_path / "run"
     out.mkdir()
     shutil.copy(source / "events.csv", out)
-    for k, (mutant, names) in enumerate(_mutants((source / "volumes.csv").read_bytes(), 1201)):
+    original = (source / "volumes.csv").read_bytes()
+    named = re.compile(re.escape(str(out / "volumes.csv")) + r":(\d+): ")
+    for k, (mutant, names) in enumerate(_mutants(original, 1201)):
         (out / "volumes.csv").write_bytes(mutant)
-        _check_exit(["featurize", "--config", str(config), "--out", str(out)], capsys,
-                    f"volumes mutant {k} ({', '.join(names)})")
+        what = f"volumes mutant {k} ({', '.join(names)})"
+        code, err = _check_exit(["featurize", "--config", str(config), "--out", str(out)], capsys, what)
+        line = named.search(err)
+        if code == 2 and line:
+            assert int(line[1]) <= _last_changed_line(original, mutant), f"{what}: {err!r}"
+        elif code == 2:
+            assert any(fault in err for fault in VOLUMES_FILE_FAULTS), f"{what}: {err!r}"
 
 
 def test_mutated_split_file_exits_0_or_2(run, tmp_path, capsys):
