@@ -11,12 +11,13 @@ Artifacts live under the output directory (--out, default runs/):
     run_config.txt               resolved configuration echo
 
 Exit status: 0 success, 1 usage error, 2 data or validation error,
-3 numeric failure, 130 interrupted (Ctrl-C); each error prints one
-diagnostic line on stderr.
+3 numeric failure, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM);
+each error prints one diagnostic line on stderr.
 """
 
 import argparse
 import os
+import signal
 import sys
 
 from . import dataio
@@ -80,7 +81,12 @@ def cmd_featurize(cfg, args):
                                          kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r))
         except ValidationError as exc:  # a fault in the event's scans: name its first row
             raise ValidationError(f"{volumes}:{first_lines[e.event_id]}: {exc}") from None
-    samples = SequenceSet([e.event_id for e in events], [e.label for e in events], matrices)
+    try:
+        samples = SequenceSet([e.event_id for e in events], [e.label for e in events], matrices)
+    except DataError as exc:  # a fault in one event's sample: name its first row
+        if not hasattr(exc, "sample"):
+            raise
+        raise type(exc)(f"{volumes}:{first_lines[events[exc.sample].event_id]}: {exc}") from None
     balanced = balance(samples, cfg.seed)
     parts = split(balanced, cfg.fractions, cfg.seed)
     _write_run_log(cfg)
@@ -230,8 +236,17 @@ def build_parser():
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the stage is, so its temp file and workers go."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None):
     parser = build_parser()
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -256,6 +271,11 @@ def main(argv=None):
     except KeyboardInterrupt:  # every temp file and worker is gone by now
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:  # as for Ctrl-C, every temp file and worker is gone
+        print("terminated", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -24,13 +24,15 @@ from .training import TrainConfig
 # and CSV cells.  An integer is ASCII digits with an optional sign; a
 # float is what float() reads from plain text, as np.loadtxt does, and
 # must be finite.  int() and float() alone also take `1_000` and
-# non-ASCII digits, and int() takes padding.
+# non-ASCII digits, and int() takes padding; np.loadtxt and str.split()
+# also strip the ASCII separators \x1c-\x1f, which float() refuses.
 INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def plain(text):
-    """ASCII text holding no `_`: float() reads it as np.loadtxt does."""
-    return text.isascii() and "_" not in text
+    """ASCII text holding no `_` and no \\x1c-\\x1f: float() reads it as
+    np.loadtxt does."""
+    return text.isascii() and "_" not in text and not any(c in text for c in "\x1c\x1d\x1e\x1f")
 
 
 def integer(text):

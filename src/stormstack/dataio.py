@@ -61,8 +61,9 @@ def _table(path, fixed, ints):
     ValidationError or DimensionError it raises while handling one gains
     the record's path:line and keeps its class.  NaN and infinity are
     looked for once every float has parsed.  Numbers take the grammar
-    of config.py: unlike int() and float(), it refuses `1_000`, non-ASCII
-    digits and non-ASCII padding.
+    of config.py: it refuses `1_000` and non-ASCII digits, which int()
+    and float() take, and padding that is non-ASCII or \\x1c-\\x1f,
+    which np.loadtxt strips.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
@@ -118,9 +119,9 @@ def _table(path, fixed, ints):
                 if floats:
                     tail = (",".join(_cell(fields[c]) for c in floats) if quoted
                             else ",".join([fields[c] for c in pick]))
-                    if not tail.isascii():  # loadtxt would take a float padded with a non-ASCII blank
+                    if not plain(tail):  # loadtxt would take padding with \x1c-\x1f or a non-ASCII blank
                         cells = fields if quoted else text.split(",")
-                        c = next(c for c in floats if not cells[c].isascii())
+                        c = next(c for c in floats if not plain(cells[c]))
                         raise fault(row, f"could not convert string {cells[c]!r} to float64"
                                          f" in column {header[c]}")
                     yield tail or '""'  # loadtxt skips an empty line; this fails to convert
@@ -384,12 +385,38 @@ def _volume_rows(event_id, block):
                    for stamp, row in zip(block.timestamps.tolist(), table.tolist()))
 
 
+_STOPS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextmanager
+def _stops_held():
+    """Hold SIGINT and SIGTERM off for the block.  A process forked in it
+    starts with both blocked; one that reaches this process meanwhile is
+    raised again once the block ends, so its handler never runs between a
+    fork and the bookkeeping that lets the handler's cleanup find the child."""
+    caught = []
+    handlers = {s: signal.signal(s, lambda signum, frame: caught.append(signum)) for s in _STOPS}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for s, handler in handlers.items():
+            signal.signal(s, handler)
+        for s in caught:
+            signal.raise_signal(s)
+
+
 def _send_rows(readers, writer, events, scans):
     """A write_volumes worker: send the rows of each of its events through
     writer, in order, or the exception that stopped it."""
     # a Ctrl-C reaches the whole process group; the writing process alone
-    # handles it, and stops the workers
+    # handles it, and stops the workers.  SIGTERM, which terminate() sends,
+    # kills a worker outright: the writing process's handler is not run here.
+    # Both stay blocked until then (see _stops_held)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOPS)
     # with no read end left here, a send fails once the writing process is gone
     for reader in readers:
         reader.close()
@@ -434,9 +461,10 @@ def write_volumes(path, events, scans):
                 # forked, so the shares are inherited, not pickled
                 readers = [r for _, r in workers] + [reader]
                 worker = fork.Process(target=_send_rows, args=(readers, writer, events[k::n], scans[k::n]))
-                worker.start()
-                writer.close()  # the worker holds the one write end, so its exit reads as EOF
-                workers.append((worker, reader))
+                with _stops_held():
+                    worker.start()
+                    writer.close()  # the worker holds the one write end, so its exit reads as EOF
+                    workers.append((worker, reader))
             for i in range(len(events)):
                 rows = workers[i % n][1].recv()
                 if not isinstance(rows, str):

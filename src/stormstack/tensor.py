@@ -13,6 +13,11 @@ Typical use::
     backward(g, loss)
     w.grad  # ndarray of d loss / d w
 
+backward spends the graph it is handed: each entry, and the activations
+its rule holds, is dropped as soon as the rule has run, and an
+intermediate keeps its ``.grad`` only for as long as the program keeps
+the tensor.  Record a new Graph for every backward.
+
 Operations executed while no Graph is active compute forward values only,
 which is the inference fast path.
 """
@@ -75,7 +80,8 @@ class Graph:
     rule mapping the output gradient to input gradients.  Execution order
     is a topological order by construction, so the backward sweep visits
     entries exactly once, in reverse.  A Graph is single-owner: do not
-    share one across threads.
+    share one across threads.  Its one backward spends it: ``ops`` is
+    None afterwards, and nothing more may be recorded on it.
     """
 
     def __init__(self):
@@ -147,16 +153,29 @@ def backward(graph: Graph, loss: Tensor) -> None:
     """Accumulate d loss / d tensor into ``.grad`` for every tensor that
     the loss depends on.  ``loss`` must be a scalar recorded on ``graph``.
     Gradients from a previous backward call are overwritten.
+
+    The sweep spends the graph: it pops one entry at a time, so each
+    entry's output, inputs and rule are dropped once the rule has run,
+    and a second backward on the same graph is a UsageError.  An op
+    output's gradient is final once its entry is reached, so it is set
+    on that tensor then and freed with it; leaf gradients are set last.
     """
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+    ops, graph.ops = graph.ops, None
+    if ops is None:
+        raise UsageError("this graph was spent by an earlier backward; record a new one")
     grads = {id(loss): np.ones_like(loss.array)}
-    holders = {id(loss): loss}
+    holders = {id(loss): loss}  # every tensor whose grad is still in grads
     sums = set()  # ids whose grad is a sum this loop allocated, and no piece aliases
-    for out, inputs, backward_fn in reversed(graph.ops):
-        g = grads.get(id(out))
+    while ops:
+        out, inputs, backward_fn = ops.pop()
+        key = id(out)
+        g = grads.pop(key, None)
         if g is None:
             continue
+        del holders[key]
+        out.grad = g
         for t, piece in zip(inputs, backward_fn(g)):
             if piece is None:
                 continue

@@ -100,6 +100,7 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
     validation loss so far are kept, and training stops once that loss
     has not improved for `patience` consecutive epochs.  The log holds
     one (epoch, train_loss, val_loss, val_accuracy) row per epoch.
+    No returned parameter carries a gradient.
     """
     for part, what in ((train_set, "training"), (val_set, "validation")):
         if len(part) == 0:
@@ -128,7 +129,10 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
                 backward(graph, loss)
             total += loss.item() * len(batch)
             grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():  # best_params may hold these tensors: keep no grad on them
+                p.grad = None
             params = adam_step(params, grads, state, train_config)
+            del grads  # nor alive through the next step
         train_loss = total / n
         val_loss, val_acc = _dataset_loss_acc(val_set.data, val_set.labels, params, model_config)
         log.append((epoch, train_loss, val_loss, val_acc))

@@ -372,8 +372,11 @@ NUMBER_FORMS = {
     "fullwidth": lambda text: text.translate(_FULLWIDTH),
     "padded": lambda text: "\u00a0" + text,  # a no-break space is not layout
 }
-DIGIT_FORMS = [rewrite("1000") for rewrite in NUMBER_FORMS.values()]
-DIGIT_IDS = list(NUMBER_FORMS)
+# np.loadtxt, but not float(), also takes a float padded with an ASCII
+# separator; every CSV cell refuses these too
+SEPARATORS = "\x1c\x1d\x1e\x1f"
+DIGIT_FORMS = [rewrite("1000") for rewrite in NUMBER_FORMS.values()] + [c + "1000" for c in SEPARATORS]
+DIGIT_IDS = list(NUMBER_FORMS) + [f"separator-{ord(c):x}" for c in SEPARATORS]
 
 
 @pytest.mark.parametrize("digits", DIGIT_FORMS, ids=DIGIT_IDS)
@@ -575,6 +578,32 @@ def test_volume_timestamp_faults_name_the_events_first_line(pipeline, tmp_path, 
     assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
     _one_data_error(capsys, f"{tmp_path / 'volumes.csv'}:8: event {event} {message}")
     assert _snapshot(tmp_path) == before
+
+
+def test_an_event_with_fewer_scans_is_named_at_its_first_line(tmp_path, capsys):
+    # 12 events of 5 scans fill lines 2-61; cut after line 60, the last
+    # event keeps 4 scans, from line 57
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 4\ndata.steps = 5\ndata.grid = 4x4x2\ndata.cell = 2x2x1\n")
+    assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    volumes = tmp_path / "volumes.csv"
+    lines = volumes.read_text().split("\n")
+    assert len(lines) == 62 and lines[61] == ""
+    event = lines[56].split(",")[0]
+    assert {line.split(",")[0] for line in lines[56:61]} == {event} != {lines[55].split(",")[0]}
+    volumes.write_text("\n".join(lines[:60]) + "\n")
+    before = _snapshot(tmp_path)
+    assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{volumes}:57: sample {event} has shape (4, 16)")
+    assert _snapshot(tmp_path) == before
+
+
+def test_no_events_is_data_error(tmp_path, capsys):
+    (tmp_path / "events.csv").write_text("event_id,label,latitude,longitude,timestamp\n")
+    (tmp_path / "volumes.csv").write_text("event_id,timestamp,nx,ny,nz,missing,v_1\n")
+    assert cli.main(["featurize", "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, "data must be (samples, steps, channels), got (0,)")
 
 
 def test_overflowing_smoothing_noise_is_usage_error(pipeline, tmp_path, capsys, recwarn):
@@ -889,6 +918,20 @@ def test_checkpoint_numbers_take_one_grammar(pipeline, tmp_path, capsys, form, s
     assert not (tmp_path / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("separator", SEPARATORS, ids=[f"{ord(c):x}" for c in SEPARATORS])
+def test_checkpoint_values_refuse_ascii_separators(pipeline, tmp_path, capsys, separator):
+    # str.split() would strip the separator, and float() read the rest
+    _, out = pipeline
+    lines = (out / "model.ckpt").read_text().split("\n")
+    index = lines.index("@out_b 3") + 1
+    lines[index] = separator + lines[index]
+    bad = tmp_path / "model.ckpt"
+    bad.write_text("\n".join(lines))
+    assert cli.main(["predict", "--checkpoint", str(bad), "--input", str(out / "test.csv"),
+                     "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{bad}:{index + 1}: could not convert string to float in ")
+
+
 def test_pipeline_checkpoint_reads_back_to_the_same_bytes(pipeline, tmp_path):
     _, out = pipeline
     params, config = dataio.load_checkpoint(out / "model.ckpt")
@@ -908,9 +951,9 @@ def _stage(args, **kwargs):
                             stderr=subprocess.PIPE, text=True, start_new_session=True, **kwargs)
 
 
-def test_ctrl_c_is_one_line_and_exit_130(tmp_path):
-    # generate on the bench config (300 events), interrupted while it
-    # writes volumes.csv: its workers and its temp file are gone
+def _signal_generate(tmp_path, signum):
+    """Send signum to the process group of a generate on the bench config
+    (300 events) while it writes volumes.csv; (exit status, stderr)."""
     config = tmp_path / "run.cfg"
     config.write_text("data.samples_per_class = 100\ndata.fractions = 0.6,0.2,0.2\n")
     run = tmp_path / "run"
@@ -921,16 +964,32 @@ def test_ctrl_c_is_one_line_and_exit_130(tmp_path):
             assert stage.poll() is None, "generate ended before it wrote volumes.csv"
             assert time.monotonic() < deadline, "generate never wrote volumes.csv"
             time.sleep(0.002)
-        os.killpg(stage.pid, signal.SIGINT)
+        os.killpg(stage.pid, signum)
         _, err = stage.communicate(timeout=60)
     finally:
         if stage.poll() is None:
             os.killpg(stage.pid, signal.SIGKILL)
             stage.wait()
-    assert (stage.returncode, err) == (130, "interrupted\n")
+    # its workers and its temp file are gone
     assert list(run.glob("*.tmp")) == [] and not (run / "volumes.csv").exists()
     with pytest.raises(ProcessLookupError):
         os.killpg(stage.pid, 0)
+    return stage.returncode, err
+
+
+def test_ctrl_c_is_one_line_and_exit_130(tmp_path):
+    assert _signal_generate(tmp_path, signal.SIGINT) == (130, "interrupted\n")
+
+
+def test_sigterm_is_one_line_and_exit_143(tmp_path):
+    assert _signal_generate(tmp_path, signal.SIGTERM) == (143, "terminated\n")
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, "no metrics_*.csv files found")
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 # the bench model (conv 32x3,32x3, hidden 64, 4 heads, batch 32) on 72 events

@@ -849,18 +849,57 @@ def test_failed_volume_formatting_keeps_the_previous_artifact(tmp_path, monkeypa
 
 def test_volume_workers_ignore_sigint(tmp_path, monkeypatch):
     # Ctrl-C's SIGINT reaches the whole process group: the workers leave it
-    # to the writing process, which stops them
+    # to the writing process, which stops them.  SIGTERM, which stops them,
+    # kills them outright, and neither signal stays blocked in them
     rows = dataio._volume_rows
 
     def checked(event_id, block):
         if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
             raise ValueError("a worker takes SIGINT")
+        if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
+            raise ValueError("a worker handles SIGTERM")
+        if signal.pthread_sigmask(signal.SIG_BLOCK, []) & {signal.SIGINT, signal.SIGTERM}:
+            raise ValueError("a worker blocks SIGINT or SIGTERM")
         return rows(event_id, block)
     monkeypatch.setattr(dataio, "_volume_rows", checked)
-    handler = signal.getsignal(signal.SIGINT)
+    handlers = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
     events = _edge_events()
     write_volumes(tmp_path / "volumes.csv", events, _edge_scans(events))
-    assert signal.getsignal(signal.SIGINT) is handler
+    assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == handlers
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stop(signum)
+
+
+def test_a_signal_during_a_worker_fork_is_raised_after_it():
+    # write_volumes forks each worker inside _stops_held: the worker starts
+    # with SIGINT and SIGTERM blocked, and a SIGTERM that reaches the
+    # writing process meanwhile is raised once the block ends, when the
+    # worker is on the list that the handler's cleanup stops
+    stops = {signal.SIGINT, signal.SIGTERM}
+    previous = signal.signal(signal.SIGTERM, _stop)
+    ran = []
+    try:
+        with pytest.raises(_Stop):
+            with dataio._stops_held():
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(0 if stops <= signal.pthread_sigmask(signal.SIG_BLOCK, []) else 1)
+                os.kill(os.getpid(), signal.SIGTERM)
+                for _ in range(1000):  # bytecodes at which a handler could run
+                    pass
+                ran.append("block")
+        assert ran == ["block"]
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert signal.getsignal(signal.SIGTERM) is _stop
+        assert not signal.pthread_sigmask(signal.SIG_BLOCK, []) & stops
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 # a worker sends Ctrl-C's SIGINT to the process group while it formats the
@@ -1042,8 +1081,10 @@ def test_integer_is_ascii_digits_with_an_optional_sign():
 
 def test_real_reads_what_the_table_reader_reads(tmp_path):
     # np.loadtxt alone would also take a float padded with a no-break space
+    # or with an ASCII separator \x1c-\x1f
     texts = ("1.5", "-0.0", "+.5", "5.", "1e-05", "1E+05", " 2.5", "2.5\t", "5e-324", "1e400", "nan",
-             "-Infinity", "1_0", "\u0661", "\uff11", "\u00a01", "1\u3000", "0x10", "1d3", "", ".", "1e")
+             "-Infinity", "1_0", "\u0661", "\uff11", "\u00a01", "1\u3000", "0x10", "1d3", "", ".", "1e",
+             "\x1c1.5", "\x1d1.5", "1.5\x1e", "\x1f1.5\x1f")
     path = tmp_path / "seq.csv"
     for text in texts:
         path.write_text(f"sample_id,t,label,f_1\na,0,1,{text}\n", encoding="utf-8")

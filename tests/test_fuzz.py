@@ -123,10 +123,9 @@ def _last_changed_line(original, mutant):
     return len(new) - same
 
 
-# volumes.csv faults that name no line: those of the whole file, and an
-# event whose scan count differs from the first event's
+# volumes.csv faults that name no line: those of the whole file
 VOLUMES_FILE_FAULTS = (": byte ", ": header ", "no volumes for events ",
-                       "volumes for events not in events.csv ", " has shape ")
+                       "volumes for events not in events.csv ")
 
 
 def test_mutated_volumes_exit_0_or_2(run, tmp_path, capsys):

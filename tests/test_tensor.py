@@ -276,8 +276,8 @@ def test_backward_in_place_sums_match_out_of_place_bits():
         c = concat([a, a])
         out = concat([y, c, v, s])
         loss = sum_all(mul(out, w))
+    want = _out_of_place_grads(g, loss)  # before backward spends g
     backward(g, loss)
-    want = _out_of_place_grads(g, loss)
     tensors = (a, v, d, w, m, s, y, c, out, loss)
     # the grads handed to each backward_fn (out's, y's, s's, ...) are unchanged
     assert [t.grad.tobytes() for t in tensors] == [want[id(t)].tobytes() for t in tensors]
@@ -285,8 +285,23 @@ def test_backward_in_place_sums_match_out_of_place_bits():
     x = Tensor(np.array(1.5))
     with Graph() as g:
         loss = add(mul(x, x), x)
+    want = _out_of_place_grads(g, loss)
     backward(g, loss)
-    assert np.asarray(x.grad).tobytes() == np.asarray(_out_of_place_grads(g, loss)[id(x)]).tobytes()
+    assert np.asarray(x.grad).tobytes() == np.asarray(want[id(x)]).tobytes()
+
+
+def test_backward_spends_its_graph():
+    x = Tensor([1.0, -2.0])
+    with Graph() as g:
+        y = mul(x, x)
+        loss = sum_all(y)
+    backward(g, loss)
+    assert g.ops is None
+    # every tensor keeps its grad, the intermediate's included
+    assert list(x.grad) == [2.0, -4.0] and list(y.grad) == [1.0, 1.0] and loss.grad == 1.0
+    with pytest.raises(UsageError, match="spent"):
+        backward(g, loss)
+    assert list(x.grad) == [2.0, -4.0]
 
 
 def test_no_graph_means_no_tape():

@@ -1,12 +1,15 @@
 """Optimizer and training-loop behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stormstack.config import RunConfig
 from stormstack.errors import DimensionError, UsageError, ValidationError
 from stormstack.features import SequenceSet
 from stormstack.model import ModelConfig, forward_batch, init_params
-from stormstack.tensor import Tensor
+from stormstack.tensor import Graph, Tensor, backward, nll_loss
 from stormstack.training import AdamState, TrainConfig, adam_step, train
 
 CONFIG = ModelConfig(steps=6, input_channels=3, conv_layers=((4, 3),),
@@ -165,6 +168,41 @@ def test_train_returns_best_validation_params():
     probs = forward_batch(Tensor(x), params, CONFIG).array
     loss = float(-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-12)).mean())
     assert abs(loss - best) < 1e-12
+
+
+def test_train_returns_parameters_without_gradients():
+    # the best epoch's parameters are stepped on by the next epoch, whose
+    # backward sets their gradients; train clears them once Adam has read them
+    config = TrainConfig(learning_rate=5e-3, batch_size=4, max_epochs=40, patience=3)
+    params, log = train(_toy_dataset(12, 6), _toy_dataset(6, 7, flip=True), CONFIG, config)
+    losses = [row[2] for row in log]
+    assert losses.index(min(losses)) < len(losses) - 1
+    assert [name for name, p in params.items() if p.grad is not None] == []
+
+
+def test_backward_adds_little_to_a_default_step():
+    # one batch-32 step of the shipped architecture on 12 steps of 16
+    # features: backward drops each tape entry's activations as it runs
+    # its rule, so its traced peak grows by a small part of what the
+    # forward pass put on the tape (about 8%; keeping the tape, about 85%)
+    config = RunConfig().model_config(12, 16)
+    params = init_params(config)
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((32, 12, 16)))
+    y = np.arange(32) % 3
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with Graph() as graph:
+            loss = nll_loss(forward_batch(x, params, config), y)
+        taped = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(graph, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in params.values())
+    assert peak - taped < (taped - start) / 4, (peak - taped, taped - start)
 
 
 def test_train_validation_errors():
