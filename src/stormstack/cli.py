@@ -10,9 +10,9 @@ Artifacts live under the output directory (--out, default runs/):
     report.txt                   merged comparison table
     run_config.txt               resolved configuration echo
 
-Exit status: 0 success, 1 usage error, 2 data or validation error,
-3 numeric failure, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM);
-each error prints one diagnostic line on stderr.
+Exit status: 0 success, 1 usage error or out of memory, 2 data or
+validation error, 3 numeric failure, 130 interrupted (Ctrl-C), 143
+terminated (SIGTERM); each error prints one diagnostic line on stderr.
 """
 
 import argparse
@@ -267,6 +267,9 @@ def main(argv=None):
         return 1
     except OSError as exc:  # readers raise DataError instead, so a write failed
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # NumPy's _ArrayMemoryError too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # every temp file and worker is gone by now
         print("interrupted", file=sys.stderr)

@@ -83,37 +83,39 @@ def _key(key, codec, default):
     return field(default=default, metadata={"key": key, "codec": codec})
 
 
+# A setting that SyntheticConfig, ModelConfig or TrainConfig also holds
+# takes that class's default; seed and model.head_dim differ on purpose.
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = _key("seed", _INT, 42)
     out_dir: str = _key("data.out_dir", _TEXT, "runs")
     threshold: float = _key("data.threshold", _FLOAT, 45.0)
     fractions: tuple = _key("data.fractions", _FLOATS, (0.8, 0.1, 0.1))
-    samples_per_class: int = _key("data.samples_per_class", _INT, 500)
-    steps: int = _key("data.steps", _INT, 12)
-    grid: tuple = _key("data.grid", _DIMS, (8, 8, 4))
-    cell: tuple = _key("data.cell", _DIMS, (3, 3, 2))
-    base_dbz: tuple = _key("data.base_dbz", _FLOATS, (20.0, 18.0, 14.0))
-    peak_dbz: tuple = _key("data.peak_dbz", _FLOATS, (55.0, 48.0, 35.0))
-    rho: float = _key("data.rho", _FLOAT, 0.85)
-    sigma: float = _key("data.sigma", _FLOAT, 5.0)
+    samples_per_class: int = _key("data.samples_per_class", _INT, SyntheticConfig.samples_per_class)
+    steps: int = _key("data.steps", _INT, SyntheticConfig.steps)
+    grid: tuple = _key("data.grid", _DIMS, SyntheticConfig.grid)
+    cell: tuple = _key("data.cell", _DIMS, SyntheticConfig.cell)
+    base_dbz: tuple = _key("data.base_dbz", _FLOATS, SyntheticConfig.base_dbz)
+    peak_dbz: tuple = _key("data.peak_dbz", _FLOATS, SyntheticConfig.peak_dbz)
+    rho: float = _key("data.rho", _FLOAT, SyntheticConfig.rho)
+    sigma: float = _key("data.sigma", _FLOAT, SyntheticConfig.sigma)
     kalman_q: float = _key("kalman.q", _FLOAT, 0.01)
     kalman_r: float = _key("kalman.r", _FLOAT, 1.0)
-    conv_layers: tuple = _key("model.conv", _CONV, ((32, 3), (32, 3)))
-    lstm_hidden: int = _key("model.hidden", _INT, 64)
-    attention_heads: int = _key("model.heads", _INT, 4)
+    conv_layers: tuple = _key("model.conv", _CONV, ModelConfig.conv_layers)
+    lstm_hidden: int = _key("model.hidden", _INT, ModelConfig.lstm_hidden)
+    attention_heads: int = _key("model.heads", _INT, ModelConfig.attention_heads)
     attention_dim: int = _key("model.head_dim", _INT, 0)  # 0 = recurrent width / heads
-    conv_padding: str = _key("model.padding", _TEXT, "valid")
-    recurrent: str = _key("model.recurrent", _TEXT, "bilstm")
-    attention: bool = _key("model.attention", _BOOL, True)
+    conv_padding: str = _key("model.padding", _TEXT, ModelConfig.conv_padding)
+    recurrent: str = _key("model.recurrent", _TEXT, ModelConfig.recurrent)
+    attention: bool = _key("model.attention", _BOOL, ModelConfig.attention)
     knn_k: int = _key("model.knn_k", _INT, 5)
-    learning_rate: float = _key("train.learning_rate", _FLOAT, 1e-3)
-    batch_size: int = _key("train.batch_size", _INT, 32)
-    max_epochs: int = _key("train.max_epochs", _INT, 100)
-    patience: int = _key("train.patience", _INT, 10)
-    beta1: float = _key("train.beta1", _FLOAT, 0.9)
-    beta2: float = _key("train.beta2", _FLOAT, 0.999)
-    epsilon: float = _key("train.epsilon", _FLOAT, 1e-8)
+    learning_rate: float = _key("train.learning_rate", _FLOAT, TrainConfig.learning_rate)
+    batch_size: int = _key("train.batch_size", _INT, TrainConfig.batch_size)
+    max_epochs: int = _key("train.max_epochs", _INT, TrainConfig.max_epochs)
+    patience: int = _key("train.patience", _INT, TrainConfig.patience)
+    beta1: float = _key("train.beta1", _FLOAT, TrainConfig.beta1)
+    beta2: float = _key("train.beta2", _FLOAT, TrainConfig.beta2)
+    epsilon: float = _key("train.epsilon", _FLOAT, TrainConfig.epsilon)
 
     def _build(self, cls, **overrides):
         """cls built from every RunConfig field it declares under the

@@ -234,7 +234,7 @@ def write_predictions(path, samples, probs, predicted):
 def load_sequences(path):
     """Parse a sequence file back into a SequenceSet, in file order.
 
-    Every sample must have the step count of the first one.
+    Every sample must have the most common step count.
     """
     with _table(path, ("sample_id", "t", "label"), (1, 2)) as (header, rows):
         channels = len(header) - 3

@@ -6,6 +6,7 @@ six reflectivity statistics for one volume scan followed by the event's
 auxiliary scalar channels, so the channel count is 6 + len(aux).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class SequenceSet:
     (N, steps, channels).
 
     data may also be given as a sequence of (steps, channels) matrices;
-    every sample must share one shape and carry a label in {0, 1, 2}.
+    every sample must share one shape (a sample off the most common one
+    is named beside one on it) and carry a label in {0, 1, 2}.
     A DataError about one sample has that sample's index in `.sample`.
     """
 
@@ -95,10 +97,11 @@ class SequenceSet:
         if bad.size:
             raise _sample_error(ValidationError, int(bad[0]),
                                 f"label must be 0, 1, or 2, got {labels[bad[0]]}")
+        common = Counter(shapes).most_common(1)[0][0] if shapes else None  # a tie keeps sample 0's
         for i, shape in enumerate(shapes):
-            if shape != shapes[0]:
+            if shape != common:
                 raise _sample_error(DimensionError, i, f"sample {ids[i]} has shape {shape},"
-                                    f" sample {ids[0]} has {shapes[0]}")
+                                    f" sample {ids[shapes.index(common)]} has {common}")
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3:
             raise DimensionError(f"data must be (samples, steps, channels), got {data.shape}")

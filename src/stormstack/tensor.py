@@ -234,7 +234,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "valid") -> Tensor:
     """Correlation along the time axis with full channel mixing.
 
-    ``x`` is (T, D) or (batch, T, D); ``w`` is (k, D, F); ``b`` is (F,).
+    ``x`` is (batch, T, D); ``w`` is (k, D, F); ``b`` is (F,).
     Output length is T - k + 1 for valid padding, T for same padding
     (zero-padded, the extra zero at the end when k is even).  The result
     is the pre-activation sum; apply relu separately.
@@ -242,42 +242,36 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "valid") -> Tensor:
     if padding not in ("valid", "same"):
         raise UsageError(f"padding must be 'valid' or 'same', got {padding!r}")
     xv, wv, bv = x.array, w.array, b.array
-    if wv.ndim != 3 or xv.ndim not in (2, 3) or bv.ndim != 1:
+    if wv.ndim != 3 or xv.ndim != 3 or bv.ndim != 1:
         raise DimensionError(
-            f"conv1d expects x (T,D) or (B,T,D), w (k,D,F), b (F); got {xv.shape}, {wv.shape}, {bv.shape}"
+            f"conv1d expects x (B,T,D), w (k,D,F), b (F); got {xv.shape}, {wv.shape}, {bv.shape}"
         )
-    squeeze = xv.ndim == 2
-    x3 = xv[None] if squeeze else xv
     k, d, f = wv.shape
-    if x3.shape[-1] != d or bv.shape[0] != f:
+    if xv.shape[-1] != d or bv.shape[0] != f:
         raise DimensionError(
             f"conv1d channel mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}"
         )
-    t = x3.shape[1]
+    t = xv.shape[1]
     if padding == "same":
         left = (k - 1) // 2
-        xp = np.pad(x3, ((0, 0), (left, k - 1 - left), (0, 0)))
+        xp = np.pad(xv, ((0, 0), (left, k - 1 - left), (0, 0)))
     else:
         if k > t:
             raise DimensionError(f"conv1d kernel {k} longer than input length {t}")
         left = 0
-        xp = x3
+        xp = xv
     windows = sliding_window_view(xp, k, axis=1)  # (B, T', D, k)
     values = np.einsum("btdj,jdf->btf", windows, wv) + bv
     _finite_or_raise(values, "conv1d")
     tp = values.shape[1]
-    if squeeze:
-        values = values[0]
 
     def bwd(g):
-        g3 = g[None] if squeeze else g
-        dw = np.einsum("btdj,btf->jdf", windows, g3)
-        db = g3.sum(axis=(0, 1))
+        dw = np.einsum("btdj,btf->jdf", windows, g)
+        db = g.sum(axis=(0, 1))
         dxp = np.zeros_like(xp)
         for j in range(k):
-            dxp[:, j : j + tp, :] += np.matmul(g3, wv[j].T)
-        dx = dxp[:, left : left + t, :]
-        return (dx[0] if squeeze else dx), dw, db
+            dxp[:, j : j + tp, :] += np.matmul(g, wv[j].T)
+        return dxp[:, left : left + t, :], dw, db
 
     return _emit(values, (x, w, b), bwd)
 
@@ -454,29 +448,27 @@ _LOG_FLOOR = 1e-12
 def nll_loss(probs: Tensor, labels) -> Tensor:
     """Mean negative log probability of the given class labels.
 
-    ``probs`` is (n, C) or (C,); probabilities below 1e-12 are clamped
-    before the log (the clamped region contributes zero gradient).
+    ``probs`` is (n, C); probabilities below 1e-12 are clamped before
+    the log (the clamped region contributes zero gradient).
     """
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     pv = probs.array
-    squeeze = pv.ndim == 1
-    p2 = pv[None] if squeeze else pv
-    if p2.ndim != 2 or labels.shape != (p2.shape[0],):
+    if pv.ndim != 2 or labels.shape != (pv.shape[0],):
         raise DimensionError(
             f"nll_loss needs probs (n,C) with n labels, got {pv.shape} and {labels.shape}"
         )
-    if labels.min() < 0 or labels.max() >= p2.shape[1]:
-        raise UsageError(f"labels out of range for {p2.shape[1]} classes")
-    n = p2.shape[0]
-    picked = p2[np.arange(n), labels]
+    if labels.min() < 0 or labels.max() >= pv.shape[1]:
+        raise UsageError(f"labels out of range for {pv.shape[1]} classes")
+    n = pv.shape[0]
+    picked = pv[np.arange(n), labels]
     clamped = np.maximum(picked, _LOG_FLOOR)
     values = np.asarray(-np.log(clamped).mean())
 
     def bwd(g):
-        dp = np.zeros_like(p2)
+        dp = np.zeros_like(pv)
         live = picked > _LOG_FLOOR
         dp[np.arange(n)[live], labels[live]] = -float(g) / (n * picked[live])
-        return (dp[0] if squeeze else dp,)
+        return (dp,)
 
     return _emit(values, (probs,), bwd)
 

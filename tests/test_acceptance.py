@@ -87,7 +87,7 @@ def _op_gradient_sweep(rng, step):
 
     cw = _rand(rng, (3, 2, 4))
     cb = _rand(rng, (4,))
-    cx = _rand(rng, (7, 2))
+    cx = _rand(rng, (1, 7, 2))
     check(lambda t: sum_all(conv1d(t, cw, cb)), cx)
     check(lambda t: sum_all(conv1d(cx, t, cb)), cw)
     check(lambda t: sum_all(conv1d(cx, cw, t)), cb)

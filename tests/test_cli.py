@@ -15,6 +15,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stormstack import cli, dataio, model
@@ -580,22 +581,44 @@ def test_volume_timestamp_faults_name_the_events_first_line(pipeline, tmp_path, 
     assert _snapshot(tmp_path) == before
 
 
-def test_an_event_with_fewer_scans_is_named_at_its_first_line(tmp_path, capsys):
-    # 12 events of 5 scans fill lines 2-61; cut after line 60, the last
-    # event keeps 4 scans, from line 57
+_FIVE_SCANS = "data.samples_per_class = 4\ndata.steps = 5\ndata.grid = 4x4x2\ndata.cell = 2x2x1\n"
+
+
+def _five_scan_volumes(tmp_path, capsys):
+    """Generate 12 events of 5 scans, lines 2-61 of volumes.csv; (config,
+    volumes.csv, its lines)."""
     config = tmp_path / "run.cfg"
-    config.write_text("data.samples_per_class = 4\ndata.steps = 5\ndata.grid = 4x4x2\ndata.cell = 2x2x1\n")
+    config.write_text(_FIVE_SCANS)
     assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     volumes = tmp_path / "volumes.csv"
     lines = volumes.read_text().split("\n")
     assert len(lines) == 62 and lines[61] == ""
+    return config, volumes, lines
+
+
+def test_an_event_with_fewer_scans_is_named_at_its_first_line(tmp_path, capsys):
+    # cut after line 60, the last event keeps 4 scans, from line 57
+    config, volumes, lines = _five_scan_volumes(tmp_path, capsys)
     event = lines[56].split(",")[0]
     assert {line.split(",")[0] for line in lines[56:61]} == {event} != {lines[55].split(",")[0]}
     volumes.write_text("\n".join(lines[:60]) + "\n")
     before = _snapshot(tmp_path)
     assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
     _one_data_error(capsys, f"{volumes}:57: sample {event} has shape (4, 16)")
+    assert _snapshot(tmp_path) == before
+
+
+def test_a_first_event_with_fewer_scans_is_named_at_line_2(tmp_path, capsys):
+    # deleting line 3 leaves the first event 4 scans: the short event is
+    # named, not the intact one after it
+    config, volumes, lines = _five_scan_volumes(tmp_path, capsys)
+    first, second = lines[1].split(",")[0], lines[6].split(",")[0]
+    assert {line.split(",")[0] for line in lines[1:6]} == {first} != {second}
+    volumes.write_text("\n".join(lines[:2] + lines[3:]))
+    before = _snapshot(tmp_path)
+    assert cli.main(["featurize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _one_data_error(capsys, f"{volumes}:2: sample {first} has shape (4, 16), sample {second} has (5, 16)")
     assert _snapshot(tmp_path) == before
 
 
@@ -851,6 +874,23 @@ def test_resolved_lines_round_trip(tmp_path):
     assert RunConfig(**parse_config_file(str(echo))) == cfg
 
 
+def test_readme_config_table_holds_the_defaults(tmp_path):
+    # the table is the README's copy of every default: parsed as a config
+    # file it must give RunConfig() and name every key run_config.txt holds
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration reference\n", 1)[1].split("\n## ", 1)[0]
+    items = []
+    for keys, defaults in re.findall(r"^\| (`.+?`) \| (`.+?`) \|", section, re.M):
+        keys, defaults = keys.split(" / "), defaults.split(" / ")
+        assert len(keys) == len(defaults), keys
+        items += [f"{key.strip('`')} = {value.strip('`')}" for key, value in zip(keys, defaults)]
+    table = tmp_path / "table.cfg"
+    table.write_text("\n".join(items) + "\n")
+    assert RunConfig(**parse_config_file(str(table))) == RunConfig()
+    written = [line.split("=", 1)[0] for line in resolved_lines(RunConfig())]
+    assert sorted(item.split(" = ", 1)[0] for item in items) == sorted(written)
+
+
 # ---------------------------------------------------------------------------
 # the number grammar in config files, --seed and checkpoints
 
@@ -990,6 +1030,60 @@ def test_main_restores_the_sigterm_handler(tmp_path, capsys):
     assert cli.main(["report", "--out", str(tmp_path)]) == 2
     _one_data_error(capsys, "no metrics_*.csv files found")
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _out_of_memory(*args):
+    # far beyond any address space, so NumPy refuses at once
+    return np.empty((10 ** 6, 10 ** 6, 10 ** 3))
+
+
+def _one_out_of_memory_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1, err
+
+
+def test_out_of_memory_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_synthetic", _out_of_memory)
+    assert cli.main(["generate", "--out", str(tmp_path / "run")]) == 1
+    _one_out_of_memory_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+def test_out_of_memory_in_a_volume_worker_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    # the forked workers inherit the patch and send the error back
+    config = tmp_path / "run.cfg"
+    config.write_text(_FIVE_SCANS)
+    monkeypatch.setattr(dataio, "_volume_rows", _out_of_memory)
+    assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    _one_out_of_memory_line(capsys)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.csv", "run_config.txt"]
+
+
+@pytest.mark.parametrize("stop, code, line", [(KeyboardInterrupt, 130, "interrupted\n"),
+                                               (cli._Terminated, 143, "terminated\n")],
+                         ids=["sigint", "sigterm"])
+def test_a_stop_while_the_checkpoint_is_written_keeps_the_previous_one(
+        pipeline, tmp_path, capsys, monkeypatch, stop, code, line):
+    config, out = pipeline
+    _copy(out, tmp_path, "train.csv", "val.csv")
+    (tmp_path / "model.ckpt").write_text("previous checkpoint\n")
+    (tmp_path / "train_log.csv").write_text("previous log\n")
+    reprs, calls = dataio._reprs, []
+
+    def stopping_reprs(*args):
+        # the first calls format the first parameter rows of model.ckpt
+        calls.append(list(tmp_path.glob("model.ckpt.*.tmp")))
+        if len(calls) == 3:
+            raise stop
+        return reprs(*args)
+
+    monkeypatch.setattr(dataio, "_reprs", stopping_reprs)
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == line
+    assert len(calls) == 3 and all(calls)  # each call came while the temp file was open
+    assert (tmp_path / "model.ckpt").read_text() == "previous checkpoint\n"
+    assert (tmp_path / "train_log.csv").read_text() == "previous log\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # the bench model (conv 32x3,32x3, hidden 64, 4 heads, batch 32) on 72 events

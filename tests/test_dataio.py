@@ -155,6 +155,20 @@ def test_sequences_ragged_file_is_a_dimension_error(tmp_path):
     assert f"{path}:6: sample c has shape (1, 1), sample a has (2, 1)" in str(err.value)
 
 
+def test_a_short_first_sample_is_the_one_named(tmp_path):
+    # the most common shape is the reference, so the short sample is named
+    path = tmp_path / "seq.csv"
+    path.write_text("sample_id,t,label,f_1\na,0,1,1.0\nb,0,2,1.0\nb,1,2,1.0\n"
+                    "c,0,0,1.0\nc,1,0,1.0\n")
+    with pytest.raises(DimensionError) as err:
+        load_sequences(path)
+    assert f"{path}:2: sample a has shape (1, 1), sample b has (2, 1)" in str(err.value)
+    with pytest.raises(DimensionError) as err:
+        SequenceSet(["s0", "s1", "s2"], [0, 0, 0], [[[1.0]], [[1.0, 2.0]], [[1.0, 2.0]]])
+    assert str(err.value) == "sample s0 has shape (1, 1), sample s1 has (1, 2)"
+    assert err.value.sample == 0
+
+
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     params = init_params(TINY)

@@ -82,16 +82,16 @@ def test_matmul_chain_associativity():
 
 
 def test_conv1d_fixture():
-    x = Tensor([[1.0], [2.0], [3.0]])
+    x = Tensor([[[1.0], [2.0], [3.0]]])
     w = Tensor(np.ones((2, 1, 1)))
     b = Tensor([0.0])
     got = conv1d(x, w, b)
-    assert got.shape == (2, 1)
+    assert got.shape == (1, 2, 1)
     assert list(got.values) == [3.0, 5.0]
 
 
 def test_conv1d_zero_weights():
-    x = Tensor(np.arange(12.0).reshape(4, 3))
+    x = Tensor(np.arange(12.0).reshape(1, 4, 3))
     w = Tensor(np.zeros((2, 3, 5)))
     b = Tensor(np.zeros(5))
     assert np.all(conv1d(x, w, b).array == 0.0)
@@ -108,10 +108,17 @@ def test_conv1d_same_padding_length():
 
 
 def test_conv1d_kernel_too_long():
-    x = Tensor(np.ones((2, 3)))
+    x = Tensor(np.ones((1, 2, 3)))
     w = Tensor(np.ones((4, 3, 1)))
     with pytest.raises(DimensionError):
         conv1d(x, w, Tensor([0.0]))
+
+
+def test_conv1d_and_nll_loss_take_batches_only():
+    with pytest.raises(DimensionError):
+        conv1d(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2, 1))), Tensor([0.0]))
+    with pytest.raises(DimensionError):
+        nll_loss(Tensor([0.25, 0.75]), [1])
 
 
 def test_relu_sigmoid_tanh_fixtures():
@@ -419,7 +426,7 @@ def test_grad_check_each_op():
 
         cw = _random_tensor(rng, (3, 2, 4))
         cb = _random_tensor(rng, (4,))
-        cx = _random_tensor(rng, (7, 2))
+        cx = _random_tensor(rng, (1, 7, 2))
         assert grad_check(lambda t: sum_all(conv1d(t, cw, cb)), cx, step) < tol
         assert grad_check(lambda t: sum_all(conv1d(cx, t, cb)), cw, step) < tol
         assert grad_check(lambda t: sum_all(conv1d(cx, cw, t)), cb, step) < tol
