@@ -81,6 +81,7 @@ def cmd_featurize(cfg, args):
                                          kalman_q=cfg.kalman_q, kalman_r=cfg.kalman_r))
         except ValidationError as exc:  # a fault in the event's scans: name its first row
             raise ValidationError(f"{volumes}:{first_lines[e.event_id]}: {exc}") from None
+    del scans  # views of the parsed tables, which go before the splits are built
     try:
         samples = SequenceSet([e.event_id for e in events], [e.label for e in events], matrices)
     except DataError as exc:  # a fault in one event's sample: name its first row

@@ -10,12 +10,14 @@ resolved configuration is echoed to the run log so a run can be
 reproduced from it alone.
 """
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, field, fields
 
 from .errors import DimensionError, ParseError, UsageError, ValidationError, open_text
-from .model import ModelConfig, recurrent_width
+from .features import DEFAULT_THRESHOLD, build_sample
+from .model import KNNClassifier, ModelConfig, recurrent_width
 from .synthetic import SyntheticConfig
 from .training import TrainConfig
 
@@ -83,13 +85,21 @@ def _key(key, codec, default):
     return field(default=default, metadata={"key": key, "codec": codec})
 
 
+def _default(function, name):
+    """The default of function's argument name."""
+    return inspect.signature(function).parameters[name].default
+
+
 # A setting that SyntheticConfig, ModelConfig or TrainConfig also holds
-# takes that class's default; seed and model.head_dim differ on purpose.
+# takes that class's default, and one that a library function or class
+# takes as an argument takes that argument's default; seed, kalman.q
+# (build_sample smooths only when given one) and model.head_dim differ
+# on purpose.
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = _key("seed", _INT, 42)
     out_dir: str = _key("data.out_dir", _TEXT, "runs")
-    threshold: float = _key("data.threshold", _FLOAT, 45.0)
+    threshold: float = _key("data.threshold", _FLOAT, DEFAULT_THRESHOLD)
     fractions: tuple = _key("data.fractions", _FLOATS, (0.8, 0.1, 0.1))
     samples_per_class: int = _key("data.samples_per_class", _INT, SyntheticConfig.samples_per_class)
     steps: int = _key("data.steps", _INT, SyntheticConfig.steps)
@@ -100,7 +110,7 @@ class RunConfig:
     rho: float = _key("data.rho", _FLOAT, SyntheticConfig.rho)
     sigma: float = _key("data.sigma", _FLOAT, SyntheticConfig.sigma)
     kalman_q: float = _key("kalman.q", _FLOAT, 0.01)
-    kalman_r: float = _key("kalman.r", _FLOAT, 1.0)
+    kalman_r: float = _key("kalman.r", _FLOAT, _default(build_sample, "kalman_r"))
     conv_layers: tuple = _key("model.conv", _CONV, ModelConfig.conv_layers)
     lstm_hidden: int = _key("model.hidden", _INT, ModelConfig.lstm_hidden)
     attention_heads: int = _key("model.heads", _INT, ModelConfig.attention_heads)
@@ -108,7 +118,7 @@ class RunConfig:
     conv_padding: str = _key("model.padding", _TEXT, ModelConfig.conv_padding)
     recurrent: str = _key("model.recurrent", _TEXT, ModelConfig.recurrent)
     attention: bool = _key("model.attention", _BOOL, ModelConfig.attention)
-    knn_k: int = _key("model.knn_k", _INT, 5)
+    knn_k: int = _key("model.knn_k", _INT, _default(KNNClassifier, "k"))
     learning_rate: float = _key("train.learning_rate", _FLOAT, TrainConfig.learning_rate)
     batch_size: int = _key("train.batch_size", _INT, TrainConfig.batch_size)
     max_epochs: int = _key("train.max_epochs", _INT, TrainConfig.max_epochs)

@@ -8,16 +8,22 @@ the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
 read through `_table`, which takes the id and integer cells of each
-record with str.split and the config integer form, and parses every
-float of the file with one np.loadtxt call, so every CSV file has the
-same number grammar and reports a malformed record the same way, at
-path:line.
+record with str.split and the config integer form, and parses its
+floats with np.loadtxt, so every CSV file has the same number grammar
+and reports a malformed record the same way, at path:line.  A file of
+PART_FLOOR bytes or more that holds no `"` is cut just after a \n into
+one part per CPU the process may run on: this process parses the first
+part and forked workers the others, each with one np.loadtxt call on
+its own byte range.  A smaller file, or one holding a `"` (a quoted
+record may hold a \n), is one part, parsed in-process.
 Every file is written through `replacing`, a row at a time (volumes.csv
 an event at a time, formatted on every available CPU): text cells go
-through `_cell` and floats through `_reprs`.
+through `_cell` and floats through `_reprs`.  `_workers` forks, joins
+and stops the workers of both.
 """
 
 import csv
+import io
 import itertools
 import math
 import os
@@ -29,7 +35,7 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from .config import INTEGER, integer, model_config_lines, parse_model_config, plain, read_items
-from .errors import DataError, DimensionError, ParseError, UsageError, ValidationError, open_text
+from .errors import DataError, DimensionError, ParseError, StormError, UsageError, ValidationError, open_text
 from .features import EventRecord, ScanBlock, SequenceSet
 from .metrics import LABELS, MetricsReport
 from .model import ModelConfig, expected_param_shapes
@@ -38,37 +44,101 @@ from .tensor import Tensor
 CHECKPOINT_HEADER = "#stormstack-checkpoint v1"
 
 
+# A file of at least this many bytes is parsed in parts, one per CPU the
+# process may run on; below it, forking and sending a part back cost more
+# than the split saves (CHANGES.md has the measurement).
+PART_FLOOR = 4 << 20
+
 # loadtxt numbers rows from 0 and columns from 1
 _LOADTXT_ERROR = re.compile(r"(could not convert string .* to float64) at row (\d+), column (\d+)\.", re.S)
+
+
+class _Fault(Exception):
+    """A faulty record: (its row among the records of its part, message)."""
+
+
+class _Span(io.RawIOBase):
+    """Bytes start to end of the file open at fd, read with os.preadv, which
+    leaves the file's own offset alone."""
+
+    def __init__(self, fd, start, end):
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        got = os.preadv(self._fd, [memoryview(buffer)[:self._end - self._at]], self._at)
+        self._at += got
+        return got
+
+
+def _blocks(fd, start, end, size):
+    """(offset, bytes) of each size-byte block from start to end of the file open at fd."""
+    for at in range(start, end, size):
+        yield at, os.pread(fd, min(size, end - at), at)
+
+
+def _spans(fd):
+    """The (start, end) byte spans of the file open at fd that _table
+    parses apart: one per CPU this process may run on, each but the last
+    ending just after a \\n; or the whole file, when it is under
+    PART_FLOOR bytes or holds a `"` (a quoted record may hold a \\n)."""
+    size = os.fstat(fd).st_size
+    n = len(os.sched_getaffinity(0))
+    if n < 2 or size < PART_FLOOR or any(b'"' in block for _, block in _blocks(fd, 0, size, 1 << 20)):
+        return [(0, size)]
+    cuts = [0]
+    for k in range(1, n):
+        # just after the first \n at or past the k-th n-th of the file and the last cut
+        blocks = _blocks(fd, max(cuts[-1], size * k // n), size, 1 << 16)
+        cut = next((at + block.index(b"\n") + 1 for at, block in blocks if b"\n" in block), size)
+        if cut < size:
+            cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [size]))
 
 
 @contextmanager
 def _table(path, fixed, ints):
     """Open the CSV file at path and read it as a table: column 0 is a
     text id, the columns numbered in ints are integers (ASCII digits with
-    an optional sign) and every other column is a float, all of the
-    file's floats parsed by one np.loadtxt call.  The header must start
-    with fixed and name no column twice.
+    an optional sign) and every other column is a float, each part's
+    floats parsed by one np.loadtxt call.  The header must start with
+    fixed and name no column twice.
 
-    Yields (header, rows); rows gives (line, [id, *ints], values) for
-    each data record, values being its floats in column order.  Lines
-    count records, so a quoted id holding \\n is one line.  The whole
-    file is parsed as the caller starts on rows, and its first fault (a
-    field count, a number that does not parse, an integer beyond int64,
-    a NaN or infinity) is raised as a ParseError naming path:line and,
-    for a number, its column; a byte that is not UTF-8 is left to
-    open_text.  Only then does the caller check records: a
+    Yields (header, rows); rows gives (line, [id, *ints], table, i) for
+    each data record, its floats being row i of table, in column order.
+    Lines count records, so a quoted id holding \\n is one line.  The
+    whole file is parsed as the caller starts on rows, and its first
+    fault (a field count, a number that does not parse, an integer beyond
+    int64, a NaN or infinity) is raised as a ParseError naming
+    path:line and, for a number, its column; a byte that is not UTF-8 is
+    left to open_text.  Only then does the caller check records: a
     ValidationError or DimensionError it raises while handling one gains
     the record's path:line and keeps its class.  NaN and infinity are
     looked for once every float has parsed.  Numbers take the grammar
     of config.py: it refuses `1_000` and non-ASCII digits, which int()
     and float() take, and padding that is non-ASCII or \\x1c-\\x1f,
     which np.loadtxt strips.
+
+    A file of PART_FLOOR bytes or more that holds no `"` is parsed in
+    parts (see _spans): this process parses the first, with the header,
+    while forked workers parse the others from their own byte spans and
+    send back their records and table.  The faults and their order are
+    those of one part, save which of two faults a byte that is not UTF-8
+    comes before.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        spans = _spans(fh.fileno())
+
+        def stream(start, end):  # one span, read as open_text reads the file
+            return io.TextIOWrapper(io.BufferedReader(_Span(fh.fileno(), start, end)),
+                                    encoding="utf-8", newline="")
+
+        first = fh if len(spans) == 1 else stream(*spans[0])
+        reader = csv.reader(first)
         try:
             header = next(reader, None)
         except csv.Error as exc:
@@ -83,56 +153,55 @@ def _table(path, fixed, ints):
         # the cells of a split record that hold floats: those among the
         # split-off cells, then the unsplit rest
         pick = [c for c in floats if c < lead] + ([lead] if width > lead else [])
-        records, ids = [], {}  # each id string is kept once, as a file repeats ids
 
-        def fault(row, message):
-            return ParseError(f"{path}:{row + 2}: {message}")
+        def parse(lines):
+            """(records, table) of the records in lines; a fault raises _Fault."""
+            records, ids = [], {}  # each id string is kept once, as a file repeats ids
 
-        def tails():
-            # each record's float cells as one line of text, once its id and ints are read
-            for text in fh:
-                row = len(records)
-                quoted = '"' in text or len(text) > csv.field_size_limit()
-                if quoted:
-                    # a quoted cell may hold , " \r or \n: the csv module
-                    # reads the record, and the float cells are quoted again
-                    record = csv.reader(itertools.chain([text], fh))
-                    try:
-                        fields = next(record)
-                    except csv.Error as exc:
-                        raise fault(row, exc) from None
-                    count = len(fields)
-                else:
-                    text = text.rstrip("\r\n")
-                    count = text.count(",") + 1 if text else 0
-                    fields = text.split(",", lead)
-                if count != width:
-                    raise fault(row, f"expected {width} fields, got {count}")
-                bad = next((c for c in ints if not INTEGER.fullmatch(fields[c])), None)
-                if bad is not None:
-                    raise fault(row, f"invalid integer {fields[bad]!r} in column {header[bad]}")
-                numbers = [int(fields[c]) for c in ints]
-                if min(numbers) < -2 ** 63 or max(numbers) >= 2 ** 63:
-                    c = next(c for c, n in zip(ints, numbers) if not -2 ** 63 <= n < 2 ** 63)
-                    raise fault(row, f"integer {fields[c]} is beyond int64 in column {header[c]}")
-                records.append([ids.setdefault(fields[0], fields[0]), *numbers])
-                if floats:
-                    tail = (",".join(_cell(fields[c]) for c in floats) if quoted
-                            else ",".join([fields[c] for c in pick]))
-                    if not plain(tail):  # loadtxt would take padding with \x1c-\x1f or a non-ASCII blank
-                        cells = fields if quoted else text.split(",")
-                        c = next(c for c in floats if not plain(cells[c]))
-                        raise fault(row, f"could not convert string {cells[c]!r} to float64"
-                                         f" in column {header[c]}")
-                    yield tail or '""'  # loadtxt skips an empty line; this fails to convert
+            def tails():
+                # each record's float cells as one line of text, once its id and ints are read
+                for text in lines:
+                    row = len(records)
+                    quoted = '"' in text or len(text) > csv.field_size_limit()
+                    if quoted:
+                        # a quoted cell may hold , " \r or \n: the csv module
+                        # reads the record, and the float cells are quoted again
+                        record = csv.reader(itertools.chain([text], lines))
+                        try:
+                            fields = next(record)
+                        except csv.Error as exc:
+                            raise _Fault(row, str(exc)) from None
+                        count = len(fields)
+                    else:
+                        text = text.rstrip("\r\n")
+                        count = text.count(",") + 1 if text else 0
+                        fields = text.split(",", lead)
+                    if count != width:
+                        raise _Fault(row, f"expected {width} fields, got {count}")
+                    bad = next((c for c in ints if not INTEGER.fullmatch(fields[c])), None)
+                    if bad is not None:
+                        raise _Fault(row, f"invalid integer {fields[bad]!r} in column {header[bad]}")
+                    numbers = [int(fields[c]) for c in ints]
+                    if min(numbers) < -2 ** 63 or max(numbers) >= 2 ** 63:
+                        c = next(c for c, n in zip(ints, numbers) if not -2 ** 63 <= n < 2 ** 63)
+                        raise _Fault(row, f"integer {fields[c]} is beyond int64 in column {header[c]}")
+                    records.append([ids.setdefault(fields[0], fields[0]), *numbers])
+                    if floats:
+                        tail = (",".join(_cell(fields[c]) for c in floats) if quoted
+                                else ",".join([fields[c] for c in pick]))
+                        if not plain(tail):  # loadtxt would take padding with \x1c-\x1f or a non-ASCII blank
+                            cells = fields if quoted else text.split(",")
+                            c = next(c for c in floats if not plain(cells[c]))
+                            raise _Fault(row, f"could not convert string {cells[c]!r} to float64"
+                                              f" in column {header[c]}")
+                        yield tail or '""'  # loadtxt skips an empty line; this fails to convert
 
-        def parse():
-            lines = tails()
-            first = next(lines, None)
-            if first is None:  # no rows or no float columns, which loadtxt refuses
-                return np.empty((len(records), len(floats)))
+            tail = tails()
+            head = next(tail, None)
+            if head is None:  # no rows or no float columns, which loadtxt refuses
+                return records, np.empty((len(records), len(floats)))
             try:
-                table = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
+                table = np.loadtxt(itertools.chain([head], tail), delimiter=",", quotechar='"',
                                    comments=None, dtype=np.float64, ndmin=2)
             except UnicodeDecodeError:  # open_text names the byte
                 raise
@@ -141,20 +210,34 @@ def _table(path, fixed, ints):
                 if found is None:  # worded otherwise by this numpy: no line to name
                     raise ParseError(f"{path}: {exc}") from None
                 column = header[floats[int(found[3]) - 1]]
-                raise fault(int(found[2]), f"{found[1]} in column {column}") from None
-            ok = np.isfinite(table)
-            if not ok.all():
-                row, column = divmod(int(np.argmin(ok)), table.shape[1])
-                raise fault(row, f"non-finite value {float(table[row, column])!r}"
-                                 f" in column {header[floats[column]]}")
-            return table
+                raise _Fault(int(found[2]), f"{found[1]} in column {column}") from None
+            return records, table
 
         def rows():
             nonlocal line
-            table = parse()
-            for row, (record, values) in enumerate(zip(records, table)):
-                line = row + 2
-                yield line, record, values
+            parts = []  # (records, table) of each part parsed, in file order
+            try:
+                if len(spans) == 1:
+                    parts.append(parse(first))
+                else:  # each worker sends its records, then its table
+                    with _workers(lambda start, end: parse(stream(start, end)), spans[1:]) as receive:
+                        parts.append(parse(first))
+                        for k in range(len(spans) - 1):
+                            parts.append((receive(k), receive(k)))
+            except _Fault as exc:
+                row, message = exc.args
+                raise ParseError(f"{path}:{sum(len(t) for _, t in parts) + row + 2}: {message}") from None
+            row = 0  # the row of the file that each part's first record is
+            for _, table in parts:
+                ok = np.isfinite(table)
+                if not ok.all():
+                    i, column = divmod(int(np.argmin(ok)), table.shape[1])
+                    raise ParseError(f"{path}:{row + i + 2}: non-finite value {float(table[i, column])!r}"
+                                     f" in column {header[floats[column]]}")
+                row += len(table)
+            numbered = ((record, table, i) for records, table in parts for i, record in enumerate(records))
+            for line, (record, table, i) in enumerate(numbered, 2):
+                yield line, record, table, i
             line = 0
 
         try:
@@ -241,7 +324,7 @@ def load_sequences(path):
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
         first_lines, labels, blocks, current = {}, [], [], None
-        for lineno, (sample_id, t, label), values in rows:
+        for lineno, (sample_id, t, label), table, i in rows:
             if sample_id != current:
                 if sample_id in first_lines:
                     raise ValidationError(f"rows for {sample_id} are not contiguous")
@@ -253,7 +336,7 @@ def load_sequences(path):
                 raise ValidationError(f"expected t={len(blocks[-1])} for {sample_id}, got {t}")
             if label != labels[-1]:
                 raise ValidationError(f"label changed within {sample_id}")
-            blocks[-1].append(values)
+            blocks[-1].append(table[i])
     ids = list(first_lines)
     try:
         return SequenceSet(ids, labels, [np.array(b) for b in blocks] or np.empty((0, 0, channels)))
@@ -365,11 +448,11 @@ def load_events(path):
     with _table(path, fixed, (1, 4)) as (header, rows):
         channels = tuple(header[5:])
         events, seen = [], set()
-        for _, (event_id, label, timestamp), values in rows:
+        for _, (event_id, label, timestamp), table, i in rows:
             if event_id in seen:
                 raise ValidationError(f"repeated event_id {event_id!r}")
             seen.add(event_id)
-            latitude, longitude, *auxiliary = values.tolist()
+            latitude, longitude, *auxiliary = table[i].tolist()
             events.append(EventRecord(event_id, label, latitude, longitude, timestamp,
                                       dict(zip(channels, auxiliary))))
     return events, channels
@@ -407,88 +490,131 @@ def _stops_held():
             signal.raise_signal(s)
 
 
-def _send_rows(readers, writer, events, scans):
-    """A write_volumes worker: send the rows of each of its events through
-    writer, in order, or the exception that stopped it."""
-    # a Ctrl-C reaches the whole process group; the writing process alone
+class _Floats(tuple):
+    """The shape of a float64 array whose bytes follow on a worker's pipe."""
+
+
+def _serve(readers, writer, work, share):
+    """A forked worker: send each item of work(*share) through writer, in
+    order, or the exception that stopped it.  A float64 array goes as its
+    _Floats shape and then its bytes, so it is neither pickled nor read
+    into a buffer on the way."""
+    # a Ctrl-C reaches the whole process group; the forking process alone
     # handles it, and stops the workers.  SIGTERM, which terminate() sends,
-    # kills a worker outright: the writing process's handler is not run here.
+    # kills a worker outright: the forking process's handler is not run here.
     # Both stay blocked until then (see _stops_held)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOPS)
-    # with no read end left here, a send fails once the writing process is gone
+    # with no read end left here, a send fails once the forking process is gone
     for reader in readers:
         reader.close()
     try:
-        for e, block in zip(events, scans):
-            writer.send(_volume_rows(e.event_id, block))
-    except BrokenPipeError:  # the writing process is gone: nothing to tell
+        for item in work(*share):
+            if isinstance(item, np.ndarray):
+                writer.send(_Floats(item.shape))
+                data = memoryview(np.ascontiguousarray(item, dtype=np.float64)).cast("B")
+                while data:
+                    data = data[os.write(writer.fileno(), data):]
+            else:
+                writer.send(item)
+    except BrokenPipeError:  # the forking process is gone: nothing to tell
         pass
     except Exception as exc:
         writer.send(exc)
+
+
+@contextmanager
+def _workers(work, shares):
+    """Fork one worker per share; worker k runs work(*shares[k]), which
+    gives the items it sends back, in order, through its own pipe.  Yields
+    receive, where receive(k) is worker k's next item, an exception it
+    sent being raised.  On any exception in the block the workers are
+    terminated; all are joined before the block is left, so none outlives
+    it."""
+    # imported here, not at module level: the import adds to the peak RSS
+    # of every stage, and only generate and the reader of a large file fork
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    workers = []  # (process, the read end of its pipe)
+
+    def receive(k):
+        worker, reader = workers[k]
+        try:
+            item = reader.recv()
+            if isinstance(item, _Floats):
+                item = np.empty(item)
+                data = memoryview(item).cast("B")
+                while data:
+                    got = os.readv(reader.fileno(), [data])
+                    if not got:
+                        raise EOFError
+                    data = data[got:]
+        except EOFError:  # killed, say by the kernel out of memory
+            worker.join()
+            raise StormError(f"a worker process ended early (exit code {worker.exitcode})") from None
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    try:
+        for share in shares:
+            reader, writer = fork.Pipe(duplex=False)
+            # forked, so work and share are inherited, not pickled
+            readers = [r for _, r in workers] + [reader]
+            worker = fork.Process(target=_serve, args=(readers, writer, work, share))
+            with _stops_held():
+                worker.start()
+                writer.close()  # the worker holds the one write end, so its exit reads as EOF
+                workers.append((worker, reader))
+        yield receive
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            worker.join()
+            reader.close()
 
 
 def write_volumes(path, events, scans):
     """One CSV row per scan, in event order; scans[i] is the ScanBlock of events[i].
 
     The rows are formatted by one forked worker per CPU this process may
-    run on: worker k of n takes events k, k + n, ... and sends each
-    event's rows through its own pipe, and they are written in event
-    order as they arrive.  The workers are joined before the file
-    replaces path; on any exception they are terminated and joined, so
-    none outlives the call.
+    run on (see _workers): worker k of n takes events k, k + n, ... and
+    sends each event's rows, and they are written in event order as they
+    arrive.  The workers end before the file replaces path.
     """
-    # imported here, not at module level: the import adds to the peak
-    # RSS of every stage, and only generate writes volumes
-    import multiprocessing
-
     if len(events) != len(scans):
         raise UsageError(f"got {len(events)} events but {len(scans)} scan blocks")
     dims = {block.grids.shape[1:] for block in scans}
     if len(dims) > 1:
         raise DimensionError(f"scan blocks disagree on grid dims: {sorted(dims)}")
     nx, ny, nz = dims.pop() if dims else (0, 0, 0)
-    fork = multiprocessing.get_context("fork")
     n = len(os.sched_getaffinity(0))
-    workers = []  # (process, the read end of its pipe)
     with replacing(path) as fh:
         fh.write(_header(["event_id", "timestamp", "nx", "ny", "nz", "missing"]
                          + [f"v_{j + 1}" for j in range(nx * ny * nz)]))
-        try:
-            for k in range(n):
-                reader, writer = fork.Pipe(duplex=False)
-                # forked, so the shares are inherited, not pickled
-                readers = [r for _, r in workers] + [reader]
-                worker = fork.Process(target=_send_rows, args=(readers, writer, events[k::n], scans[k::n]))
-                with _stops_held():
-                    worker.start()
-                    writer.close()  # the worker holds the one write end, so its exit reads as EOF
-                    workers.append((worker, reader))
+        ids = [e.event_id for e in events]
+        with _workers(lambda ids, blocks: map(_volume_rows, ids, blocks),
+                      [(ids[k::n], scans[k::n]) for k in range(n)]) as receive:
             for i in range(len(events)):
-                rows = workers[i % n][1].recv()
-                if not isinstance(rows, str):
-                    raise rows
-                fh.write(rows)
-        except BaseException:
-            for worker, _ in workers:
-                worker.terminate()
-            raise
-        finally:
-            for worker, reader in workers:
-                worker.join()
-                reader.close()
+                fh.write(receive(i % n))
 
 
 def load_volumes(path):
     """Returns ({event_id: ScanBlock}, {event_id: line of its first row}),
     in order of first appearance; the rows of one event need not be
     adjacent and stack in file order.  Every row must carry the first
-    row's grid dims."""
+    row's grid dims.  An event whose rows are adjacent in one part of the
+    parse (see _table) gets views of that part's table, any other event
+    a copy."""
     fixed = ("event_id", "timestamp", "nx", "ny", "nz", "missing")
     with _table(path, fixed, (1, 2, 3, 4)) as (header, rows):
         cells, dims, scans, first_lines = len(header) - 6, None, {}, {}
-        for line, (event_id, stamp, *shape), numbers in rows:
+        for line, (event_id, stamp, *shape), table, i in rows:
             shape = tuple(shape)
             if shape != dims:
                 if min(shape) < 1:
@@ -499,11 +625,14 @@ def load_volumes(path):
                     raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
                 dims = shape
             first_lines.setdefault(event_id, line)
-            scans.setdefault(event_id, []).append((stamp, numbers))
+            scans.setdefault(event_id, []).append((stamp, table, i))
     for event_id, entries in scans.items():
-        stamps, numbers = zip(*entries)
-        table = np.array(numbers)
-        scans[event_id] = ScanBlock(stamps, table[:, 0], table[:, 1:].reshape(-1, *dims))
+        stamps, tables, index = zip(*entries)
+        if index[-1] - index[0] == len(index) - 1 and all(t is tables[0] for t in tables):
+            block = tables[0][index[0]:index[-1] + 1]
+        else:
+            block = np.array([t[i] for t, i in zip(tables, index)])
+        scans[event_id] = ScanBlock(stamps, block[:, 0], block[:, 1:].reshape(-1, *dims))
     return scans, first_lines
 
 
@@ -534,7 +663,7 @@ def read_report_csv(path):
     with _table(path, _REPORT_FIELDS, (1, *range(9, 18))) as (header, rows):
         if len(header) != len(_REPORT_FIELDS):
             raise ParseError(f"{path}: header must be {','.join(_REPORT_FIELDS)}")
-        for _, (name, positive_class, *counts), scores in rows:
+        for _, (name, positive_class, *counts), table, i in rows:
             cm = np.array(counts, dtype=np.int64).reshape(3, 3)
-            reports.append(MetricsReport(name, positive_class, *scores.tolist(), confusion=cm))
+            reports.append(MetricsReport(name, positive_class, *table[i].tolist(), confusion=cm))
     return reports

@@ -144,16 +144,21 @@ def extract_shsr_stats(grid, threshold: float = DEFAULT_THRESHOLD, missing: floa
     Returns (min, max, mean, variance, nonzero count, above-threshold
     count).  Variance is the population variance; the nonzero count
     uses |v| > 0 and the threshold count v > threshold, both strict.
+    The reductions are those NumPy's min, max, mean and var make, in the
+    same order, so the bits are theirs; the mean is taken once.
     """
     grid = np.asarray(grid, dtype=np.float64)
     valid = grid[grid != missing]
-    if valid.size == 0:
+    count = valid.size
+    if count == 0:
         raise ValidationError("volume has no non-missing cells")
+    mean = np.add.reduce(valid) / count
+    spread = valid - mean
     return (
-        float(valid.min()),
-        float(valid.max()),
-        float(valid.mean()),
-        float(valid.var()),
+        float(np.minimum.reduce(valid)),
+        float(np.maximum.reduce(valid)),
+        float(mean),
+        float(np.add.reduce(np.multiply(spread, spread, out=spread)) / count),
         float(np.count_nonzero(np.abs(valid) > 0.0)),
         float(np.count_nonzero(valid > threshold)),
     )

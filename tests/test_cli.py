@@ -6,6 +6,7 @@ assert on the artifacts it left behind.
 """
 
 import csv
+import multiprocessing
 import os
 import re
 import signal
@@ -991,18 +992,16 @@ def _stage(args, **kwargs):
                             stderr=subprocess.PIPE, text=True, start_new_session=True, **kwargs)
 
 
-def _signal_generate(tmp_path, signum):
-    """Send signum to the process group of a generate on the bench config
-    (300 events) while it writes volumes.csv; (exit status, stderr)."""
-    config = tmp_path / "run.cfg"
-    config.write_text("data.samples_per_class = 100\ndata.fractions = 0.6,0.2,0.2\n")
-    run = tmp_path / "run"
-    stage = _stage(["-m", "stormstack", "generate", "--config", str(config), "--out", str(run)])
+def _signal_stage(signum, args, ready):
+    """Start a stage process with args and send signum to its process
+    group once ready() holds; (exit status, stderr).  No process of the
+    group is left."""
+    stage = _stage(args)
     try:
         deadline = time.monotonic() + 120
-        while not list(run.glob("volumes.csv.*.tmp")):
-            assert stage.poll() is None, "generate ended before it wrote volumes.csv"
-            assert time.monotonic() < deadline, "generate never wrote volumes.csv"
+        while not ready():
+            assert stage.poll() is None, "the stage ended before it was ready"
+            assert time.monotonic() < deadline, "the stage was never ready"
             time.sleep(0.002)
         os.killpg(stage.pid, signum)
         _, err = stage.communicate(timeout=60)
@@ -1010,11 +1009,22 @@ def _signal_generate(tmp_path, signum):
         if stage.poll() is None:
             os.killpg(stage.pid, signal.SIGKILL)
             stage.wait()
-    # its workers and its temp file are gone
-    assert list(run.glob("*.tmp")) == [] and not (run / "volumes.csv").exists()
     with pytest.raises(ProcessLookupError):
         os.killpg(stage.pid, 0)
     return stage.returncode, err
+
+
+def _signal_generate(tmp_path, signum):
+    """Send signum to the process group of a generate on the bench config
+    (300 events) while it writes volumes.csv; (exit status, stderr)."""
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 100\ndata.fractions = 0.6,0.2,0.2\n")
+    run = tmp_path / "run"
+    result = _signal_stage(signum, ["-m", "stormstack", "generate", "--config", str(config), "--out", str(run)],
+                           lambda: list(run.glob("volumes.csv.*.tmp")))
+    # its workers and its temp file are gone
+    assert list(run.glob("*.tmp")) == [] and not (run / "volumes.csv").exists()
+    return result
 
 
 def test_ctrl_c_is_one_line_and_exit_130(tmp_path):
@@ -1057,6 +1067,76 @@ def test_out_of_memory_in_a_volume_worker_is_one_line_and_exit_1(tmp_path, capsy
     assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
     _one_out_of_memory_line(capsys)
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["events.csv", "run_config.txt"]
+
+
+# volumes.csv parses in three parts, events.csv in one; each part worker
+# leaves a mark once it starts on its floats, then waits to be stopped
+_FEATURIZE_IN_PARTS = """\
+import os, sys, time
+import numpy as np
+from stormstack import cli, dataio
+run = sys.argv[1]
+dataio.PART_FLOOR = os.path.getsize(os.path.join(run, "events.csv")) + 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+parent, loadtxt = os.getpid(), np.loadtxt
+
+def waiting(*args, **kwargs):
+    if os.getpid() != parent:
+        open(os.path.join(run, f"parsing.{os.getpid()}"), "w").close()
+        time.sleep(60)
+    return loadtxt(*args, **kwargs)
+
+np.loadtxt = waiting
+sys.exit(cli.main(["featurize", "--out", run]))
+"""
+
+
+def _five_scan_run(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(_FIVE_SCANS)
+    run = tmp_path / "run"
+    assert cli.main(["generate", "--config", str(config), "--out", str(run)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("signum, code, line", [(signal.SIGINT, 130, "interrupted\n"),
+                                                 (signal.SIGTERM, 143, "terminated\n")],
+                         ids=["sigint", "sigterm"])
+def test_a_stop_while_volumes_parse_in_parts_is_one_line(tmp_path, capsys, signum, code, line):
+    run = _five_scan_run(tmp_path)
+    capsys.readouterr()
+    before = sorted(p.name for p in run.iterdir())
+    result = _signal_stage(signum, ["-c", _FEATURIZE_IN_PARTS, str(run)],
+                           lambda: len(list(run.glob("parsing.*"))) == 2)
+    assert result == (code, line)
+    assert sorted(p.name for p in run.iterdir() if not p.name.startswith("parsing.")) == before
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fault, line", [(_out_of_memory, "error: out of memory: Unable to allocate"),
+                                         (_killed, "error: a worker process ended early (exit code -9)\n")],
+                         ids=["out_of_memory", "killed"])
+def test_a_fault_in_a_part_worker_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, fault, line):
+    # volumes.csv parses in three parts, events.csv in one
+    run = _five_scan_run(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(dataio, "PART_FLOOR", (run / "events.csv").stat().st_size + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    parent, loadtxt = os.getpid(), np.loadtxt
+
+    def faulty(*args, **kwargs):
+        if os.getpid() != parent:  # in a part worker
+            fault()
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", faulty)
+    assert cli.main(["featurize", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in run.iterdir()) == ["events.csv", "run_config.txt", "volumes.csv"]
 
 
 @pytest.mark.parametrize("stop, code, line", [(KeyboardInterrupt, 130, "interrupted\n"),

@@ -1083,6 +1083,132 @@ def test_wide_readers_keep_quoted_cells_bit_identical(tmp_path, kind):
 
 
 # ---------------------------------------------------------------------------
+# a file of PART_FLOOR bytes or more that holds no `"` is parsed in parts,
+# one per CPU: here the floor is 0 and three CPUs give three parts
+
+def _in_parts(monkeypatch, cpus=3):
+    monkeypatch.setattr(dataio, "PART_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _parts_of(path):
+    """The line of the file that each part of its parse starts at."""
+    data = path.read_bytes()
+    with open(path) as fh:
+        spans = dataio._spans(fh.fileno())
+    return [data[:start].count(b"\n") + 1 for start, _ in spans]
+
+
+def _volumes_in_parts(tmp_path, monkeypatch, edit, count=30):
+    """A 30-row volumes file, edited, read in three parts; (path, the line each part starts at)."""
+    _in_parts(monkeypatch)
+    _, header, row = _WIDE["volumes"]
+    rows = [row(i) for i in range(count)]
+    edit(rows)
+    path = tmp_path / "volumes.csv"
+    path.write_text(header + "".join(rows))
+    return path, _parts_of(path)
+
+
+def _part(starts, line):
+    return sum(start <= line for start in starts) - 1
+
+
+def test_a_malformed_number_in_a_later_part_comes_before_a_nan(tmp_path, monkeypatch):
+    # rows 14 and 25 are lines 16 and 27: a NaN in part 1, a bad float in part 2
+    path, starts = _volumes_in_parts(tmp_path, monkeypatch, lambda rows: (_bad_float(14, "nan")(rows),
+                                                                          _bad_float(25)(rows)))
+    assert (len(starts), _part(starts, 16), _part(starts, 27)) == (3, 1, 2)
+    with pytest.raises(ParseError) as err:
+        load_volumes(path)
+    assert str(err.value) == (f"{path}:27: could not convert string '1.0x' to float64"
+                              " in column v_1")
+
+
+def test_a_nan_in_a_later_part_names_its_line(tmp_path, monkeypatch):
+    path, starts = _volumes_in_parts(tmp_path, monkeypatch, _bad_float(25, "-inf"))
+    assert (len(starts), _part(starts, 27)) == (3, 2)
+    with pytest.raises(ParseError) as err:
+        load_volumes(path)
+    assert str(err.value) == f"{path}:27: non-finite value -inf in column v_1"
+
+
+def test_a_field_count_fault_in_a_later_part_names_its_line(tmp_path, monkeypatch):
+    def edit(rows):
+        rows[25] = rows[25].rsplit(",", 1)[0] + "\n"
+    path, starts = _volumes_in_parts(tmp_path, monkeypatch, edit)
+    assert (len(starts), _part(starts, 27)) == (3, 2)
+    with pytest.raises(ParseError) as err:
+        load_volumes(path)
+    assert str(err.value) == f"{path}:27: expected 10 fields, got 9"
+
+
+def test_a_record_fault_in_a_later_part_names_its_line(tmp_path, monkeypatch):
+    path, starts = _volumes_in_parts(tmp_path, monkeypatch,
+                                     lambda rows: rows.__setitem__(25, rows[25].replace(",4,1,1,", ",2,2,2,")))
+    assert (len(starts), _part(starts, 27)) == (3, 2)
+    with pytest.raises(DimensionError) as err:
+        load_volumes(path)
+    assert str(err.value) == f"{path}:27: volume has 4 cells, dims (2, 2, 2) require 8"
+
+
+def test_a_quoted_id_holding_a_newline_keeps_one_part(tmp_path, monkeypatch):
+    def edit(rows):
+        rows[12] = '"ev\n12"' + rows[12][rows[12].index(","):]
+    path, starts = _volumes_in_parts(tmp_path, monkeypatch, edit)
+    assert starts == [1]
+    scans, first_lines = load_volumes(path)
+    assert list(scans)[11:14] == ["ev11", "ev\n12", "ev13"]
+    assert first_lines["ev13"] == 15  # a record, not a physical line, is a line
+    assert _bits(scans["ev\n12"].grids.ravel()) == _bits([12.5, 2.0, -3e-05, 1e+16])
+
+
+def test_parts_read_as_one_part_and_adjacent_scans_are_views(tmp_path, monkeypatch):
+    # 12 events of 4 scans; ev3's rows are split apart, and the rows of the
+    # event at the first cut straddle it
+    rows = [f"ev{i // 4},{900 + i % 4},2,1,1,{-999.0 if i % 3 else 1.5},{i}.25,{-i}e-3\n" for i in range(48)]
+    rows.append(rows.pop(13))
+    path = tmp_path / "volumes.csv"
+    path.write_text("event_id,timestamp,nx,ny,nz,missing,v_1,v_2\n" + "".join(rows))
+    whole, whole_lines = load_volumes(path)
+    _in_parts(monkeypatch)
+    starts = _parts_of(path)
+    straddling = rows[starts[1] - 2].split(",")[0]  # the event of part 1's first row
+    assert len(starts) == 3 and rows[starts[1] - 3].startswith(straddling + ",")
+    parts, part_lines = load_volumes(path)
+    assert part_lines == whole_lines and list(parts) == list(whole)
+    for event_id, block in parts.items():
+        for name in ("timestamps", "missing", "grids"):
+            assert getattr(block, name).shape == getattr(whole[event_id], name).shape
+            assert _bits(getattr(block, name)) == _bits(getattr(whole[event_id], name)), event_id
+    views = [event_id for event_id, block in parts.items() if not block.grids.flags.owndata
+             and np.shares_memory(block.grids, parts["ev0"].grids)]
+    assert "ev0" in views and "ev3" not in views and straddling not in views
+    assert parts["ev3"].timestamps.tolist() == [900, 902, 903, 901]
+
+
+_SMALL_READS = """\
+import sys
+from stormstack import dataio
+dataio.load_events(sys.argv[1])
+dataio.load_volumes(sys.argv[2])
+dataio.load_sequences(sys.argv[3])
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_a_small_file_is_read_without_a_fork(tmp_path):
+    # under PART_FLOOR bytes, no worker is forked and multiprocessing is not imported
+    events = _events(3)
+    write_events(tmp_path / "events.csv", events, AUX_CHANNELS)
+    (tmp_path / "volumes.csv").write_text(_WIDE["volumes"][1] + _WIDE["volumes"][2](0))
+    write_sequences(tmp_path / "seq.csv", SequenceSet(["s0"], [1], [[[1.0, 2.0]]]))
+    result = _python(["-c", _SMALL_READS] + [str(tmp_path / name) for name in ("events.csv", "volumes.csv",
+                                                                                 "seq.csv")])
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
+# ---------------------------------------------------------------------------
 # the number grammar: an integer is ASCII digits with an optional sign, a
 # float is what float() reads from ASCII text without `_`, and finite
 

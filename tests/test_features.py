@@ -183,6 +183,44 @@ def test_build_sample_refuses_non_finite_values(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def _numpy_stats(grid, threshold=DEFAULT_THRESHOLD, missing=MISSING):
+    # the statistics as NumPy's own min, max, mean and var give them
+    valid = grid[grid != missing]
+    return (valid.min(), valid.max(), valid.mean(), valid.var(),
+            np.count_nonzero(np.abs(valid) > 0.0), np.count_nonzero(valid > threshold))
+
+
+_EDGE_GRIDS = {
+    "one valid cell": [MISSING, 7.25, MISSING, MISSING],
+    "all cells equal": [0.1] * 37,
+    "signed zeros": [0.0, -0.0, -0.0, 0.0, MISSING],
+    "negative zeros": [-0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 2.5e-308, 1e-310, 0.0],
+    "near 1e308": [1e308, 1.5e308, 1.7e308, MISSING],
+    "near -1e308": [-1e308, -1.7e308, 1.0],
+    "wide": np.random.default_rng(3).standard_normal(1001) * 1e3,
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_GRIDS))
+def test_stats_keep_numpys_bits(name, recwarn):
+    grid = np.array(_EDGE_GRIDS[name], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = extract_shsr_stats(grid)
+        want = _numpy_stats(grid)
+    assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert not recwarn.list
+
+
+def test_an_overflowing_mean_is_a_non_finite_statistic(recwarn):
+    # the sum of cells near 1e308 overflows, so the mean is the first
+    # statistic that is not finite
+    with pytest.raises(ValidationError,
+                       match=r"event ev0 scan at 41: statistic 3 of 6 is not finite \(inf\)"):
+        build_sample(_event(), _scans([40, 41], [1.0, 2.0], [1.5e308, 1.7e308]))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _mini(labels):
     # one single-step sample s{i} per label
     return SequenceSet([f"s{i}" for i in range(len(labels))], labels,

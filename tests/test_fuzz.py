@@ -16,13 +16,14 @@ The Tier-1 run is a fixed-seed subset of a few seconds.  Set LONG_RUN
 to True for the long run.
 """
 
+import os
 import re
 import shutil
 import warnings
 
 import pytest
 
-from stormstack import cli
+from stormstack import cli, dataio
 from stormstack.rng import SplitMix64
 
 LONG_RUN = False
@@ -147,6 +148,37 @@ def test_mutated_volumes_exit_0_or_2(run, tmp_path, capsys):
             assert int(line[1]) <= _last_changed_line(original, mutant), f"{what}: {err!r}"
         elif code == 2:
             assert any(fault in err for fault in VOLUMES_FILE_FAULTS), f"{what}: {err!r}"
+
+
+@pytest.mark.parametrize("name, seed", [("volumes.csv", 1201), ("events.csv", 1203)])
+def test_mutants_read_in_parts_as_in_one_part(run, tmp_path, capsys, monkeypatch, name, seed):
+    # the reader forced to four parts (three forked workers) gives each
+    # mutant the exit and line it gives in one part; a byte that is not
+    # UTF-8 may be found before or after another fault, so such a mutant
+    # only has to exit 2
+    config, source = run
+    out = tmp_path / "run"
+    out.mkdir()
+    for other in ("events.csv", "volumes.csv"):
+        shutil.copy(source / other, out)
+    argv = ["featurize", "--config", str(config), "--out", str(out)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    with open(source / name) as fh:
+        monkeypatch.setattr(dataio, "PART_FLOOR", 0)
+        assert len(dataio._spans(fh.fileno())) == 4
+    for k, (mutant, names) in enumerate(_mutants((source / name).read_bytes(), seed)):
+        (out / name).write_bytes(mutant)
+        what = f"{name} mutant {k} ({', '.join(names)})"
+        results = []
+        for floor in (float("inf"), 0):
+            monkeypatch.setattr(dataio, "PART_FLOOR", floor)
+            results.append(_check_exit(argv, capsys, what))
+        try:
+            mutant.decode("utf-8")
+        except UnicodeDecodeError:
+            assert [code for code, _ in results] == [2, 2], what
+        else:
+            assert results[0] == results[1], what
 
 
 def test_mutated_split_file_exits_0_or_2(run, tmp_path, capsys):
