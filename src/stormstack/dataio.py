@@ -18,8 +18,9 @@ its own byte range.  A smaller file, or one holding a `"` (a quoted
 record may hold a \n), is one part, parsed in-process.
 Every file is written through `replacing`, a row at a time (volumes.csv
 an event at a time, formatted on every available CPU): text cells go
-through `_cell` and floats through `_reprs`.  `_workers` forks, joins
-and stops the workers of both.
+through `_cell` and floats through `_reprs`.  `_workers` forks, stops
+and reaps the workers of both with os.fork and os.waitpid, and each
+worker pickles what it sends back onto its own os.pipe.
 """
 
 import csv
@@ -27,6 +28,7 @@ import io
 import itertools
 import math
 import os
+import pickle
 import re
 import signal
 from collections import Counter
@@ -219,11 +221,10 @@ def _table(path, fixed, ints):
             try:
                 if len(spans) == 1:
                     parts.append(parse(first))
-                else:  # each worker sends its records, then its table
-                    with _workers(lambda start, end: parse(stream(start, end)), spans[1:]) as receive:
+                else:  # each worker sends its records and table as one item
+                    with _workers(lambda start, end: [parse(stream(start, end))], spans[1:]) as receive:
                         parts.append(parse(first))
-                        for k in range(len(spans) - 1):
-                            parts.append((receive(k), receive(k)))
+                        parts.extend(receive(k) for k in range(len(spans) - 1))
             except _Fault as exc:
                 row, message = exc.args
                 raise ParseError(f"{path}:{sum(len(t) for _, t in parts) + row + 2}: {message}") from None
@@ -490,92 +491,88 @@ def _stops_held():
             signal.raise_signal(s)
 
 
-class _Floats(tuple):
-    """The shape of a float64 array whose bytes follow on a worker's pipe."""
-
-
 def _serve(readers, writer, work, share):
-    """A forked worker: send each item of work(*share) through writer, in
-    order, or the exception that stopped it.  A float64 array goes as its
-    _Floats shape and then its bytes, so it is neither pickled nor read
-    into a buffer on the way."""
-    # a Ctrl-C reaches the whole process group; the forking process alone
-    # handles it, and stops the workers.  SIGTERM, which terminate() sends,
-    # kills a worker outright: the forking process's handler is not run here.
-    # Both stay blocked until then (see _stops_held)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOPS)
-    # with no read end left here, a send fails once the forking process is gone
-    for reader in readers:
-        reader.close()
+    """A forked worker: pickle each item of work(*share) onto the pipe end
+    writer, in order, or the exception that stopped it.  It leaves by
+    os._exit alone, so it never unwinds into the forking process's stack
+    or its cleanup, nor flushes a buffer it inherited."""
+    code = 1
     try:
-        for item in work(*share):
-            if isinstance(item, np.ndarray):
-                writer.send(_Floats(item.shape))
-                data = memoryview(np.ascontiguousarray(item, dtype=np.float64)).cast("B")
-                while data:
-                    data = data[os.write(writer.fileno(), data):]
-            else:
-                writer.send(item)
-    except BrokenPipeError:  # the forking process is gone: nothing to tell
-        pass
-    except Exception as exc:
-        writer.send(exc)
+        # a Ctrl-C reaches the whole process group; the forking process
+        # alone handles it, and stops the workers.  SIGTERM, which it stops
+        # them with, kills a worker outright: the forking process's handler
+        # is not run here.  Both stay blocked until then (see _stops_held)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOPS)
+        # with no read end left here, a write fails once the forking process is gone
+        for reader in readers:
+            reader.close()
+        with open(writer, "wb") as out:
+            try:  # protocol 5 writes a float64 array straight from its buffer
+                for item in work(*share):
+                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @contextmanager
 def _workers(work, shares):
     """Fork one worker per share; worker k runs work(*shares[k]), which
-    gives the items it sends back, in order, through its own pipe.  Yields
-    receive, where receive(k) is worker k's next item, an exception it
-    sent being raised.  On any exception in the block the workers are
-    terminated; all are joined before the block is left, so none outlives
-    it."""
-    # imported here, not at module level: the import adds to the peak RSS
-    # of every stage, and only generate and the reader of a large file fork
-    import multiprocessing
+    gives the items it sends back, in order, pickled through its own pipe
+    (see _serve).  Yields receive, where receive(k) is worker k's next
+    item, an exception it sent being raised.  A pipe or fork that fails
+    raises a StormError.  On any exception in the block the workers are
+    sent SIGTERM; all are reaped before the block is left, so none
+    outlives it."""
+    workers = []  # (pid, the read end of its pipe), in share order
+    codes = {}  # the exit code of each worker reaped, by pid
 
-    fork = multiprocessing.get_context("fork")
-    workers = []  # (process, the read end of its pipe)
+    def reap(pid):
+        if pid not in codes:
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return codes[pid]
 
     def receive(k):
-        worker, reader = workers[k]
+        pid, reader = workers[k]
         try:
-            item = reader.recv()
-            if isinstance(item, _Floats):
-                item = np.empty(item)
-                data = memoryview(item).cast("B")
-                while data:
-                    got = os.readv(reader.fileno(), [data])
-                    if not got:
-                        raise EOFError
-                    data = data[got:]
-        except EOFError:  # killed, say by the kernel out of memory
-            worker.join()
-            raise StormError(f"a worker process ended early (exit code {worker.exitcode})") from None
+            item = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):  # cut off, maybe mid-item: killed, say out of memory
+            raise StormError(f"a worker process ended early (exit code {reap(pid)})") from None
         if isinstance(item, BaseException):
             raise item
         return item
 
     try:
         for share in shares:
-            reader, writer = fork.Pipe(duplex=False)
-            # forked, so work and share are inherited, not pickled
-            readers = [r for _, r in workers] + [reader]
-            worker = fork.Process(target=_serve, args=(readers, writer, work, share))
-            with _stops_held():
-                worker.start()
-                writer.close()  # the worker holds the one write end, so its exit reads as EOF
-                workers.append((worker, reader))
+            try:
+                reader, writer = os.pipe()
+            except OSError as exc:
+                raise StormError(f"cannot start a worker process: {exc}") from None
+            reader = open(reader, "rb")
+            try:
+                with _stops_held():
+                    pid = os.fork()
+                    if pid == 0:  # forked, so work and share are inherited, not pickled
+                        _serve([r for _, r in workers] + [reader], writer, work, share)
+                    workers.append((pid, reader))
+            except OSError as exc:
+                reader.close()
+                raise StormError(f"cannot start a worker process: {exc}") from None
+            finally:
+                os.close(writer)  # the worker holds the one write end, so its exit reads as EOF
         yield receive
     except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
+        for pid, _ in workers:
+            if pid not in codes:  # a reaped pid may be another process's by now
+                os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for worker, reader in workers:
-            worker.join()
+        for pid, reader in workers:
+            reap(pid)
             reader.close()
 
 

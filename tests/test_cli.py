@@ -6,8 +6,9 @@ assert on the artifacts it left behind.
 """
 
 import csv
-import multiprocessing
+import errno
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -1112,6 +1113,18 @@ def test_a_stop_while_volumes_parse_in_parts_is_one_line(tmp_path, capsys, signu
     assert sorted(p.name for p in run.iterdir() if not p.name.startswith("parsing.")) == before
 
 
+def _in_three_parts(run, monkeypatch):
+    # volumes.csv parses in three parts, events.csv in one
+    monkeypatch.setattr(dataio, "PART_FLOOR", (run / "events.csv").stat().st_size + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def _no_child_left():
+    # every process this one forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -1120,11 +1133,9 @@ def _killed():
                                          (_killed, "error: a worker process ended early (exit code -9)\n")],
                          ids=["out_of_memory", "killed"])
 def test_a_fault_in_a_part_worker_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, fault, line):
-    # volumes.csv parses in three parts, events.csv in one
     run = _five_scan_run(tmp_path)
     capsys.readouterr()
-    monkeypatch.setattr(dataio, "PART_FLOOR", (run / "events.csv").stat().st_size + 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _in_three_parts(run, monkeypatch)
     parent, loadtxt = os.getpid(), np.loadtxt
 
     def faulty(*args, **kwargs):
@@ -1135,8 +1146,61 @@ def test_a_fault_in_a_part_worker_is_one_line_and_exit_1(tmp_path, capsys, monke
     assert cli.main(["featurize", "--out", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(line) and err.count("\n") == 1, err
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert sorted(p.name for p in run.iterdir()) == ["events.csv", "run_config.txt", "volumes.csv"]
+
+
+def _worker_stage(tmp_path, monkeypatch, stage):
+    """A stage that forks workers, on the five-scan config: generate, or
+    featurize with volumes.csv in three parts; (its arguments, its out
+    dir, what the out dir holds once the stage fails)."""
+    if stage == "generate":
+        config = tmp_path / "run.cfg"
+        config.write_text(_FIVE_SCANS)
+        run = tmp_path / "run"
+        return ["generate", "--config", str(config), "--out", str(run)], run, ["events.csv", "run_config.txt"]
+    run = _five_scan_run(tmp_path)
+    _in_three_parts(run, monkeypatch)
+    return ["featurize", "--out", str(run)], run, ["events.csv", "run_config.txt", "volumes.csv"]
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+@pytest.mark.parametrize("stage", ["generate", "featurize"])
+def test_a_worker_that_cannot_start_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, stage, call, code):
+    # at a pids limit os.fork raises BlockingIOError: not a fault in writing
+    # output, and featurize writes none before it forks
+    args, run, left = _worker_stage(tmp_path, monkeypatch, stage)
+    capsys.readouterr()
+
+    def failing():
+        raise OSError(code, os.strerror(code))
+    monkeypatch.setattr(os, call, failing)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: cannot start a worker process: [Errno {code}] {os.strerror(code)}\n"
+    assert len(os.listdir("/proc/self/fd")) == fds  # both ends of the pipe are closed
+    _no_child_left()
+    assert sorted(p.name for p in run.iterdir()) == left
+
+
+def _cut_short(item, out, protocol):
+    # send the first half of the item's pickle, then die as the kernel kills a process
+    data = pickle.dumps(item, protocol)
+    out.write(data[:len(data) // 2])
+    out.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("stage", ["generate", "featurize"])
+def test_a_worker_killed_mid_item_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, stage):
+    # the read of a cut-off pickle raises UnpicklingError, not EOFError
+    args, run, left = _worker_stage(tmp_path, monkeypatch, stage)
+    capsys.readouterr()
+    monkeypatch.setattr(pickle, "dump", _cut_short)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: a worker process ended early (exit code -9)\n"
+    _no_child_left()
+    assert sorted(p.name for p in run.iterdir()) == left
 
 
 @pytest.mark.parametrize("stop, code, line", [(KeyboardInterrupt, 130, "interrupted\n"),

@@ -2,7 +2,6 @@
 
 import csv
 import io
-import multiprocessing
 import os
 import pickle
 import signal
@@ -698,12 +697,18 @@ def _volumes_bytes(events, scans):
     return _csv_bytes(header, rows)
 
 
+def _no_child_left():
+    # every process this one forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_write_volumes_bytes_match_csv_module(tmp_path):
     path = tmp_path / "volumes.csv"
     events = _edge_events()
     scans = _edge_scans(events)
     write_volumes(path, events, scans)
-    assert multiprocessing.active_children() == []  # the workers are joined
+    _no_child_left()  # the workers are reaped
     assert path.read_bytes() == _volumes_bytes(events, scans)
     got, _ = load_volumes(path)
     assert list(got) == IDS
@@ -858,7 +863,7 @@ def test_failed_volume_formatting_keeps_the_previous_artifact(tmp_path, monkeypa
     scans[3] = ScanBlock(scans[3].timestamps, [-999.0, -7.0], scans[3].grids)
     exc = _fails_mid_file(tmp_path, "volumes.csv", lambda p: write_volumes(p, events, scans))
     assert isinstance(exc, ValueError) and str(exc) == "cannot format"
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_volume_workers_ignore_sigint(tmp_path, monkeypatch):
@@ -921,7 +926,7 @@ def test_a_signal_during_a_worker_fork_is_raised_after_it():
 # workers are still busy when the writing process stops them, and it
 # removes the temp file
 _INTERRUPTED = """\
-import multiprocessing, os, signal, sys
+import os, signal, sys
 import numpy as np
 from stormstack import dataio
 from stormstack.features import EventRecord, ScanBlock
@@ -940,7 +945,12 @@ scans = [ScanBlock([1], [-7.0 if i == 2 else -999.0], grids[i]) for i in range(4
 try:
     dataio.write_volumes(sys.argv[1], events, scans)
 except KeyboardInterrupt:
-    print(os.listdir(os.path.dirname(sys.argv[1])), multiprocessing.active_children())
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        children = "a child is left"
+    except ChildProcessError:
+        children = "no child is left"
+    print(os.listdir(os.path.dirname(sys.argv[1])), children)
 """
 
 
@@ -949,7 +959,7 @@ def test_interrupted_volume_write_stops_the_workers(tmp_path):
     path.write_bytes(b"previous artifact\n")
     # a worker left running would block on a full pipe, and the write with it
     result = _python(["-c", _INTERRUPTED, str(path)], timeout=60, start_new_session=True)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "['volumes.csv'] []\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "['volumes.csv'] no child is left\n", "")
     assert path.read_bytes() == b"previous artifact\n"
 
 
@@ -1187,25 +1197,32 @@ def test_parts_read_as_one_part_and_adjacent_scans_are_views(tmp_path, monkeypat
     assert parts["ev3"].timestamps.tolist() == [900, 902, 903, 901]
 
 
+# three CPUs, so only the size floor keeps each file in one part
 _SMALL_READS = """\
-import sys
+import os, sys
 from stormstack import dataio
+
+def fork():
+    raise OSError("forked")
+
+os.fork = fork
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 dataio.load_events(sys.argv[1])
 dataio.load_volumes(sys.argv[2])
 dataio.load_sequences(sys.argv[3])
-print("multiprocessing" in sys.modules)
+print("read")
 """
 
 
 def test_a_small_file_is_read_without_a_fork(tmp_path):
-    # under PART_FLOOR bytes, no worker is forked and multiprocessing is not imported
+    # under PART_FLOOR bytes, no worker is forked
     events = _events(3)
     write_events(tmp_path / "events.csv", events, AUX_CHANNELS)
     (tmp_path / "volumes.csv").write_text(_WIDE["volumes"][1] + _WIDE["volumes"][2](0))
     write_sequences(tmp_path / "seq.csv", SequenceSet(["s0"], [1], [[[1.0, 2.0]]]))
     result = _python(["-c", _SMALL_READS] + [str(tmp_path / name) for name in ("events.csv", "volumes.csv",
                                                                                  "seq.csv")])
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "read\n", "")
 
 
 # ---------------------------------------------------------------------------
