@@ -10,12 +10,13 @@ infinity.  Checkpoint headers use config codecs.  Every CSV file is
 read through `_table`, which takes the id and integer cells of each
 record with str.split and the config integer form, and parses its
 floats with np.loadtxt, so every CSV file has the same number grammar
-and reports a malformed record the same way, at path:line.  A file of
-PART_FLOOR bytes or more that holds no `"` is cut just after a \n into
-one part per CPU the process may run on: this process parses the first
-part and forked workers the others, each with one np.loadtxt call on
-its own byte range.  A smaller file, or one holding a `"` (a quoted
-record may hold a \n), is one part, parsed in-process.
+and reports a malformed record the same way, at path:line.  Every file
+is read the same way: a file of PART_FLOOR bytes or more that holds no
+`"` is cut just after a \n into one part per CPU the process may run
+on, and this process parses the first part while one forked worker
+parses each other part, each with one np.loadtxt call on its own byte
+range.  A smaller file, or one holding a `"` (a quoted record may hold
+a \n), is one part, so it is read with no worker.
 Every file is written through `replacing`, a row at a time (volumes.csv
 an event at a time, formatted on every available CPU): text cells go
 through `_cell` and floats through `_reprs`.  `_workers` forks, stops
@@ -75,12 +76,6 @@ class _Span(io.RawIOBase):
         return got
 
 
-def _blocks(fd, start, end, size):
-    """(offset, bytes) of each size-byte block from start to end of the file open at fd."""
-    for at in range(start, end, size):
-        yield at, os.pread(fd, min(size, end - at), at)
-
-
 def _spans(fd):
     """The (start, end) byte spans of the file open at fd that _table
     parses apart: one per CPU this process may run on, each but the last
@@ -88,13 +83,13 @@ def _spans(fd):
     PART_FLOOR bytes or holds a `"` (a quoted record may hold a \\n)."""
     size = os.fstat(fd).st_size
     n = len(os.sched_getaffinity(0))
-    if n < 2 or size < PART_FLOOR or any(b'"' in block for _, block in _blocks(fd, 0, size, 1 << 20)):
+    if n < 2 or size < PART_FLOOR or any(b'"' in os.pread(fd, 1 << 20, at) for at in range(0, size, 1 << 20)):
         return [(0, size)]
     cuts = [0]
     for k in range(1, n):
         # just after the first \n at or past the k-th n-th of the file and the last cut
-        blocks = _blocks(fd, max(cuts[-1], size * k // n), size, 1 << 16)
-        cut = next((at + block.index(b"\n") + 1 for at, block in blocks if b"\n" in block), size)
+        at = max(cuts[-1], size * k // n)
+        cut = at + len(io.BufferedReader(_Span(fd, at, size)).readline())
         if cut < size:
             cuts.append(cut)
     return list(zip(cuts, cuts[1:] + [size]))
@@ -123,12 +118,13 @@ def _table(path, fixed, ints):
     and float() take, and padding that is non-ASCII or \\x1c-\\x1f,
     which np.loadtxt strips.
 
-    A file of PART_FLOOR bytes or more that holds no `"` is parsed in
-    parts (see _spans): this process parses the first, with the header,
-    while forked workers parse the others from their own byte spans and
-    send back their records and table.  The faults and their order are
-    those of one part, save which of two faults a byte that is not UTF-8
-    comes before.
+    Every file is read the same way, in the parts _spans gives: this
+    process parses the first, with the header, through the span reader,
+    while one forked worker parses each other part from its own byte
+    span and sends back its records and table.  A file of one part (one
+    under PART_FLOOR bytes, or holding a `"`) is read with no worker.
+    The faults and their order are those of one part, save which of two
+    faults a byte that is not UTF-8 comes before.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
     line = 0  # the line of the record the caller is handling
@@ -139,7 +135,7 @@ def _table(path, fixed, ints):
             return io.TextIOWrapper(io.BufferedReader(_Span(fh.fileno(), start, end)),
                                     encoding="utf-8", newline="")
 
-        first = fh if len(spans) == 1 else stream(*spans[0])
+        first = stream(*spans[0])
         reader = csv.reader(first)
         try:
             header = next(reader, None)
@@ -218,13 +214,10 @@ def _table(path, fixed, ints):
         def rows():
             nonlocal line
             parts = []  # (records, table) of each part parsed, in file order
-            try:
-                if len(spans) == 1:
+            try:  # each worker sends its records and table as one item
+                with _workers(lambda start, end: [parse(stream(start, end))], spans[1:]) as receive:
                     parts.append(parse(first))
-                else:  # each worker sends its records and table as one item
-                    with _workers(lambda start, end: [parse(stream(start, end))], spans[1:]) as receive:
-                        parts.append(parse(first))
-                        parts.extend(receive(k) for k in range(len(spans) - 1))
+                    parts.extend(receive(k) for k in range(len(spans) - 1))
             except _Fault as exc:
                 row, message = exc.args
                 raise ParseError(f"{path}:{sum(len(t) for _, t in parts) + row + 2}: {message}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .features import AUX_CHANNELS, MISSING, EventRecord, ScanBlock
 from .rng import SplitMix64, subseed
 
@@ -89,6 +89,7 @@ def _peak_path(cfg, label, noise):
     return path
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(cfg: SyntheticConfig):
     """Build (events, scans) where the ScanBlock scans[i] holds the
     cfg.steps volume scans of events[i].
@@ -97,7 +98,9 @@ def generate_synthetic(cfg: SyntheticConfig):
     then wind).  Each event consumes its own SplitMix64 stream seeded
     by subseed(cfg.seed, event index), drawing in a fixed order: peak
     path noise, cell corner and drift, background noise, location, then
-    the auxiliary channels in AUX_CHANNELS order.
+    the auxiliary channels in AUX_CHANNELS order.  An event whose
+    volumes overflow (a huge sigma, say) raises a NumericError naming
+    it; the peak path reaches the volumes only through max(0.0, ...).
     """
     nx, ny, nz = cfg.grid
     ex, ey, ez = cfg.cell
@@ -135,10 +138,13 @@ def generate_synthetic(cfg: SyntheticConfig):
         corners = np.clip(corners, 0, (nx - ex, ny - ey, nz - ez))
         for t, (x0, y0, z0) in enumerate(corners.tolist()):
             grids[t, x0:x0 + ex, y0:y0 + ey, z0:z0 + ez] += max(0.0, path[t] - base)
+        event_id = f"ev{index:05d}"
+        if not np.isfinite(grids).all():
+            raise NumericError(f"the volumes of event {event_id} are not finite")
         scans.append(ScanBlock(timestamp - 60 + cadence * np.arange(cfg.steps),
                                np.full(cfg.steps, MISSING), grids))
         events.append(EventRecord(
-            event_id=f"ev{index:05d}",
+            event_id=event_id,
             label=label,
             latitude=latitude,
             longitude=longitude,

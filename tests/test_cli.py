@@ -560,6 +560,21 @@ def test_overflowing_statistic_is_data_error(pipeline, tmp_path, capsys, recwarn
                             " statistic 4 of 6 is not finite (inf)")
 
 
+def test_overflowing_generate_is_numeric_error(tmp_path, capsys, recwarn):
+    # a sigma this large makes the volumes infinite: generate writes nothing and warns nothing
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 2\ndata.sigma = 1e308\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("events.csv", "volumes.csv", "run_config.txt"):
+        (out / name).write_text("untouched\n")
+    before = _snapshot(out)
+    assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 3
+    assert _snapshot(out) == before
+    assert capsys.readouterr().err == "numeric error: the volumes of event ev00000 are not finite\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # the second event's six scans are lines 8-13; a fault in its timestamps
 # is named at line 8
 @pytest.mark.parametrize("index, stamp, message", [

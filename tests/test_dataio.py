@@ -1109,6 +1109,24 @@ def _parts_of(path):
     return [data[:start].count(b"\n") + 1 for start, _ in spans]
 
 
+@pytest.mark.parametrize("data, cpus, spans", [
+    (b"abcd\nfgh\njk\n", 3, [(0, 5), (5, 9), (9, 12)]),  # the bytes at 4 and 8 are each a \n
+    (b"ab\ncdefghij\n", 3, [(0, 12)]),  # the line at both cut points ends the file
+    (b"a\nbcdefghijklmn\nop\n", 4, [(0, 16), (16, 19)]),  # two cut points in one line
+    (b"abcd\nfghijkl", 3, [(0, 5), (5, 12)]),  # the last \n comes before the cut point at 8
+    (b"abcd\nfgh\njkl", 3, [(0, 5), (5, 9), (9, 12)]),  # no final newline
+], ids=("newline-at-the-cut", "one-line-to-the-end", "two-cuts-in-a-line", "no-newline-past-a-cut",
+        "no-final-newline"))
+def test_each_cut_is_just_after_the_first_newline_at_or_past_its_point(tmp_path, monkeypatch, data, cpus,
+                                                                       spans):
+    # cut k of n is searched from byte size * k // n, or from the cut before when that is later
+    _in_parts(monkeypatch, cpus)
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with open(path) as fh:
+        assert dataio._spans(fh.fileno()) == spans
+
+
 def _volumes_in_parts(tmp_path, monkeypatch, edit, count=30):
     """A 30-row volumes file, edited, read in three parts; (path, the line each part starts at)."""
     _in_parts(monkeypatch)
@@ -1185,7 +1203,10 @@ def test_parts_read_as_one_part_and_adjacent_scans_are_views(tmp_path, monkeypat
     starts = _parts_of(path)
     straddling = rows[starts[1] - 2].split(",")[0]  # the event of part 1's first row
     assert len(starts) == 3 and rows[starts[1] - 3].startswith(straddling + ",")
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     parts, part_lines = load_volumes(path)
+    assert len(forks) == 2  # this process parses part 0 itself
     assert part_lines == whole_lines and list(parts) == list(whole)
     for event_id, block in parts.items():
         for name in ("timestamps", "missing", "grids"):
