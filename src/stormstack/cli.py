@@ -152,6 +152,7 @@ def cmd_evaluate(cfg, args):
     report = evaluate(_classifier(params, model_config), test_set, positive, MODEL_NAME)
     if requested:
         train_set = _load_split(cfg, "train")
+    if set(requested) - {"knn"}:  # the fitted baselines validate on val.csv
         val_set = _load_split(cfg, "val")
     _write_run_log(cfg)
     _write_evaluation(cfg, "model", report)

@@ -311,29 +311,36 @@ def write_predictions(path, samples, probs, predicted):
 def load_sequences(path):
     """Parse a sequence file back into a SequenceSet, in file order.
 
-    Every sample must have the most common step count.
+    Every sample must have the most common step count.  The data is a
+    view of the parsed table, or of one concatenation of the parts' tables.
     """
     with _table(path, ("sample_id", "t", "label"), (1, 2)) as (header, rows):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
-        first_lines, labels, blocks, current = {}, [], [], None
-        for lineno, (sample_id, t, label), table, i in rows:
+        first_lines, labels, steps, tables, current = {}, [], [], [np.empty((0, channels))], None
+        for lineno, (sample_id, t, label), table, _ in rows:
             if sample_id != current:
                 if sample_id in first_lines:
                     raise ValidationError(f"rows for {sample_id} are not contiguous")
                 current = sample_id
                 first_lines[sample_id] = lineno
                 labels.append(label)
-                blocks.append([])
-            if t != len(blocks[-1]):
-                raise ValidationError(f"expected t={len(blocks[-1])} for {sample_id}, got {t}")
+                steps.append(0)
+            if t != steps[-1]:
+                raise ValidationError(f"expected t={steps[-1]} for {sample_id}, got {t}")
             if label != labels[-1]:
                 raise ValidationError(f"label changed within {sample_id}")
-            blocks[-1].append(table[i])
+            steps[-1] += 1
+            if table is not tables[-1]:  # the rows of each part's table come in file order
+                tables.append(table)
     ids = list(first_lines)
+    data = np.concatenate(tables) if len(tables) > 2 else tables[-1]
+    # a ragged file keeps a slice per sample, so that SequenceSet names one off the common shape
+    data = (data.reshape(len(ids), max(steps, default=0), channels) if len(set(steps)) < 2
+            else np.split(data, np.cumsum(steps)[:-1]))
     try:
-        return SequenceSet(ids, labels, [np.array(b) for b in blocks] or np.empty((0, 0, channels)))
+        return SequenceSet(ids, labels, data)
     except DataError as exc:
         raise type(exc)(f"{path}:{first_lines[ids[exc.sample]]}: {exc}") from None
 
@@ -365,52 +372,58 @@ def save_checkpoint(params, config: ModelConfig, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as (params, config)."""
+    """Read a checkpoint back as (params, config), a line at a time and one
+    ahead, holding besides the parameters only the block being read."""
     with open_text(path) as fh:
-        lines = [line.rstrip("\r\n") for line in fh] or [""]
-    if lines[0] != CHECKPOINT_HEADER:
-        raise ParseError(f"{path}: expected header {CHECKPOINT_HEADER!r}, got {lines[0]!r}")
-    # the config lines run to the first blank or @ line
-    pos = next((i for i in range(1, len(lines)) if lines[i][:1] in ("", "@")), len(lines))
-    config = parse_model_config(read_items(lines[1:pos], path, "checkpoint config", 2), path)
-    expected = expected_param_shapes(config)
-    params = {}
-    while pos < len(lines):
-        line, pos = lines[pos], pos + 1  # pos is now the line number of line
-        if not line:
-            continue
-        if not line.startswith("@"):
-            raise ParseError(f"{path}:{pos}: expected a @parameter block, got {line!r}")
-        name, *dims = line[1:].split(" ")
-        if name not in expected:
-            raise ValidationError(f"{path}:{pos}: unknown parameter {name!r}")
-        if name in params:
-            raise ValidationError(f"{path}:{pos}: duplicate parameter {name!r}")
-        try:
-            shape = tuple(map(integer, dims))
-        except ValueError:
-            raise ParseError(f"{path}:{pos}: bad dimensions in {line!r}") from None
-        if shape != expected[name]:
-            raise DimensionError(f"{path}:{pos}: parameter {name} has shape {shape},"
-                                 f" config requires {expected[name]}")
-        count, start, chunks, got = int(np.prod(shape)), pos, [], 0
-        while got < count and pos < len(lines) and not lines[pos].startswith("@"):
-            line, pos = lines[pos], pos + 1
-            try:  # one call parses the line, and plain text reads as float() does
-                if not plain(line):
-                    raise ValueError(f"could not convert string to float in {line!r}")
-                values = np.array(line.split(), dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{pos}: {exc}") from None
-            ok = np.isfinite(values)
-            if not ok.all():
-                raise ParseError(f"{path}:{pos}: non-finite value {float(values[np.argmin(ok)])!r}")
-            chunks.append(values)
-            got += values.size
-        if got != count:
-            state = f"incomplete block for {name}" if got < count else f"block for {name} is too long"
-            raise ParseError(f"{path}:{start}: {state}: got {got} of {count} values")
-        params[name] = Tensor(np.concatenate(chunks).reshape(shape), _checked=True)
+        lines = enumerate((line.rstrip("\r\n") for line in fh), 1)
+        end = (None, None)  # past the last line
+        header = next(lines, (1, ""))[1]
+        if header != CHECKPOINT_HEADER:
+            raise ParseError(f"{path}: expected header {CHECKPOINT_HEADER!r}, got {header!r}")
+        config, (pos, line) = [], next(lines, end)
+        while line and not line.startswith("@"):  # the config lines run to the first blank or @ line
+            config.append(line)
+            pos, line = next(lines, end)
+        config = parse_model_config(read_items(config, path, "checkpoint config", 2), path)
+        expected = expected_param_shapes(config)
+        params = {}
+        while line is not None:
+            if not line.startswith("@"):
+                if line:
+                    raise ParseError(f"{path}:{pos}: expected a @parameter block, got {line!r}")
+                pos, line = next(lines, end)
+                continue
+            name, *dims = line[1:].split(" ")
+            if name not in expected:
+                raise ValidationError(f"{path}:{pos}: unknown parameter {name!r}")
+            if name in params:
+                raise ValidationError(f"{path}:{pos}: duplicate parameter {name!r}")
+            try:
+                shape = tuple(map(integer, dims))
+            except ValueError:
+                raise ParseError(f"{path}:{pos}: bad dimensions in {line!r}") from None
+            if shape != expected[name]:
+                raise DimensionError(f"{path}:{pos}: parameter {name} has shape {shape},"
+                                     f" config requires {expected[name]}")
+            count, start, chunks, got = int(np.prod(shape)), pos, [], 0
+            pos, line = next(lines, end)
+            while got < count and line is not None and not line.startswith("@"):
+                try:  # one call parses the line, and plain text reads as float() does
+                    if not plain(line):
+                        raise ValueError(f"could not convert string to float in {line!r}")
+                    values = np.array(line.split(), dtype=np.float64)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{pos}: {exc}") from None
+                ok = np.isfinite(values)
+                if not ok.all():
+                    raise ParseError(f"{path}:{pos}: non-finite value {float(values[np.argmin(ok)])!r}")
+                chunks.append(values)
+                got += values.size
+                pos, line = next(lines, end)
+            if got != count:
+                state = f"incomplete block for {name}" if got < count else f"block for {name} is too long"
+                raise ParseError(f"{path}:{start}: {state}: got {got} of {count} values")
+            params[name] = Tensor(np.concatenate(chunks).reshape(shape), _checked=True)
     missing = [n for n in expected if n not in params]
     if missing:
         raise ValidationError(f"{path}: checkpoint is missing parameters {missing}")

@@ -419,7 +419,8 @@ class KNNClassifier:
 
     def predict(self, data):
         """Labels, int64 (N,), for an (N, steps, channels) block of
-        queries, each scored against the training set on its own."""
+        queries, each scored against the training set on its own, its
+        squared differences in one buffer per call (the bits of ** 2)."""
         if self._x is None:
             raise UsageError("KNNClassifier.predict called before fit")
         data = np.asarray(data, dtype=np.float64)
@@ -429,8 +430,9 @@ class KNNClassifier:
                 f"queries have shape {data.shape}, training set has {features} features per sample"
             )
         labels = np.empty(len(data), dtype=np.int64)
+        d = np.empty_like(self._x)
         for i, q in enumerate((data.reshape(len(data), features) - self._mean) / self._scale):
-            dists = np.sqrt(((self._x - q) ** 2).sum(axis=1))
+            dists = np.sqrt(np.square(np.subtract(self._x, q, out=d), out=d).sum(axis=1))
             nearest = np.argsort(dists, kind="stable")[: self.k]
             labels[i] = np.argmax(np.bincount(self._labels[nearest], minlength=3))
         return labels

@@ -98,12 +98,14 @@ def generate_synthetic(cfg: SyntheticConfig):
     then wind).  Each event consumes its own SplitMix64 stream seeded
     by subseed(cfg.seed, event index), drawing in a fixed order: peak
     path noise, cell corner and drift, background noise, location, then
-    the auxiliary channels in AUX_CHANNELS order.  An event whose
-    volumes overflow (a huge sigma, say) raises a NumericError naming
-    it; the peak path reaches the volumes only through max(0.0, ...).
+    the auxiliary channels in AUX_CHANNELS order.  An event with a cell
+    at or past sqrt(float max / (2 * cells)) (a huge sigma, say) raises
+    a NumericError naming it: cells are at least 0 (the peak path adds
+    max(0.0, ...)), so below it every statistic of a scan is finite.
     """
     nx, ny, nz = cfg.grid
     ex, ey, ez = cfg.cell
+    bound = np.sqrt(np.finfo(np.float64).max / (2 * nx * ny * nz))
     cadence = 60 // cfg.steps
     events = []
     scans = []
@@ -139,8 +141,8 @@ def generate_synthetic(cfg: SyntheticConfig):
         for t, (x0, y0, z0) in enumerate(corners.tolist()):
             grids[t, x0:x0 + ex, y0:y0 + ey, z0:z0 + ez] += max(0.0, path[t] - base)
         event_id = f"ev{index:05d}"
-        if not np.isfinite(grids).all():
-            raise NumericError(f"the volumes of event {event_id} are not finite")
+        if not grids.max() < bound:
+            raise NumericError(f"the volumes of event {event_id} overflow its scan statistics")
         scans.append(ScanBlock(timestamp - 60 + cadence * np.arange(cfg.steps),
                                np.full(cfg.steps, MISSING), grids))
         events.append(EventRecord(

@@ -327,6 +327,23 @@ def test_refused_baseline_input_changes_no_file(pipeline, tmp_path, capsys):
     assert _snapshot(tmp_path) == before
 
 
+def test_only_the_fitted_baselines_read_val_csv(pipeline, tmp_path, capsys):
+    # knn needs no validation split: with val.csv gone it writes the same
+    # metrics, and lstm is refused, naming val.csv, before any file is written
+    config, out = pipeline
+    _copy(out, tmp_path, "train.csv", "test.csv", "model.ckpt")
+    run = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["evaluate", "--baselines", "knn"] + run) == 0
+    for name in ("metrics_model.csv", "metrics_model.txt", "metrics_knn.csv", "metrics_knn.txt"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+    capsys.readouterr()
+    (tmp_path / "run_config.txt").write_text("untouched\n")
+    before = _snapshot(tmp_path)
+    assert cli.main(["evaluate", "--baselines", "lstm"] + run) == 2
+    _one_data_error(capsys, f"cannot read input {tmp_path / 'val.csv'}: file not found")
+    assert _snapshot(tmp_path) == before
+
+
 def _one_data_error(capsys, *needles):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1, err
@@ -571,7 +588,21 @@ def test_overflowing_generate_is_numeric_error(tmp_path, capsys, recwarn):
     before = _snapshot(out)
     assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 3
     assert _snapshot(out) == before
-    assert capsys.readouterr().err == "numeric error: the volumes of event ev00000 are not finite\n"
+    assert capsys.readouterr().err == ("numeric error: the volumes of event ev00000"
+                                       " overflow its scan statistics\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_generate_refuses_finite_volumes_whose_statistics_overflow(tmp_path, capsys, recwarn):
+    # cells near 1e200 are finite, but their variance is not: featurize would
+    # refuse the volumes, so generate does, naming the event, and writes nothing
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 2\ndata.sigma = 1e200\n")
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("numeric error: the volumes of event ev00000"
+                                       " overflow its scan statistics\n")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

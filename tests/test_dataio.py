@@ -7,13 +7,14 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stormstack import dataio
-from stormstack.config import integer, model_config_lines, real
+from stormstack.config import RunConfig, integer, model_config_lines, real
 from stormstack.dataio import (
     CHECKPOINT_HEADER,
     load_checkpoint,
@@ -168,6 +169,23 @@ def test_a_short_first_sample_is_the_one_named(tmp_path):
     assert err.value.sample == 0
 
 
+def test_load_sequences_holds_one_table(tmp_path):
+    # the bench's sample shape; the data is a view of the parsed table, with
+    # no copy per row or per sample
+    data = np.random.default_rng(25).standard_normal((300, 12, 16))
+    path = tmp_path / "seq.csv"
+    write_sequences(path, SequenceSet([f"s{i}" for i in range(300)], np.arange(300) % 3, data))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_sequences(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits(loaded.data) == _bits(data) and not loaded.data.flags.owndata
+    assert peak - start < 3 * data.nbytes, (peak - start, data.nbytes)
+
+
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     params = init_params(TINY)
@@ -287,6 +305,44 @@ def test_checkpoint_block_count_errors_name_the_block_line(tmp_path):
         with pytest.raises(ParseError) as err:
             load_checkpoint(bad)
         assert str(err.value) == f"{bad}:{at + 1}: {message}"
+
+
+# out_w holds 4 rows of 3 values, then comes out_b; each edit of the lines
+# from out_w's @ line on, and the message it gets, at its line from there
+@pytest.mark.parametrize("edit, at, message", [
+    (lambda rows: rows[:3], 0, "incomplete block for out_w: got 6 of 12 values"),
+    (lambda rows: rows[:3] + rows[5:], 0, "incomplete block for out_w: got 6 of 12 values"),
+    (lambda rows: rows[:4] + [rows[4] + " 0.5"] + rows[5:], 0,
+     "block for out_w is too long: got 13 of 12 values"),
+    (lambda rows: rows[:5] + ["0.5"] + rows[5:], 5, "expected a @parameter block, got '0.5'"),
+], ids=["cut by the end", "cut by an @ line", "over-long last line", "stray line after a block"])
+def test_checkpoint_blocks_end_where_the_streamed_lines_say(tmp_path, edit, at, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    lines = path.read_text().split("\n")
+    start = lines.index("@out_w 4 3")
+    path.write_text("\n".join(lines[:start] + edit(lines[start:])))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}:{start + at + 1}: {message}"
+
+
+def test_load_checkpoint_holds_little_beyond_its_parameters(tmp_path):
+    # it streams the file: only the block being read is held besides the parameters
+    config = RunConfig().model_config(12, 16)
+    params = init_params(config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, config, path)
+    size = sum(p.array.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(loaded[name].array, params[name].array) for name in params)
+    assert peak - start < 1.5 * size, (peak - start, size)
 
 
 def test_checkpoint_rejects_unknown_parameter(tmp_path):
@@ -1178,6 +1234,28 @@ def test_a_record_fault_in_a_later_part_names_its_line(tmp_path, monkeypatch):
     with pytest.raises(DimensionError) as err:
         load_volumes(path)
     assert str(err.value) == f"{path}:27: volume has 4 cells, dims (2, 2, 2) require 8"
+
+
+def test_sequences_read_in_parts_as_in_one(tmp_path, monkeypatch):
+    # the parts' tables are joined into one; a ragged file, sample s7 one
+    # row short in the last part, is refused as when it is one part
+    data = np.random.default_rng(26).standard_normal((9, 4, 2))
+    path, ragged = tmp_path / "seq.csv", tmp_path / "ragged.csv"
+    write_sequences(path, SequenceSet([f"s{i}" for i in range(9)], np.arange(9) % 3, data))
+    lines = path.read_text().split("\n")
+    ragged.write_text("\n".join(lines[:1 + 4 * 7 + 3] + lines[1 + 4 * 8:]))
+    whole = load_sequences(path)
+    with pytest.raises(DimensionError) as err:
+        load_sequences(ragged)
+    _in_parts(monkeypatch)
+    assert len(_parts_of(path)) == 3 and _parts_of(ragged)[-1] < 1 + 1 + 4 * 7
+    parts = load_sequences(path)
+    assert parts.ids == whole.ids and _bits(parts.labels) == _bits(whole.labels)
+    assert _bits(parts.data) == _bits(data) and parts.data.shape == data.shape
+    with pytest.raises(DimensionError) as in_parts:
+        load_sequences(ragged)
+    assert str(in_parts.value) == str(err.value) == (f"{ragged}:30: sample s7 has shape (3, 2),"
+                                                     " sample s0 has (4, 2)")
 
 
 def test_a_quoted_id_holding_a_newline_keeps_one_part(tmp_path, monkeypatch):
