@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, UsageError, ValidationError
+from .errors import DimensionError, NumericError, UsageError, ValidationError
 from .rng import SplitMix64
 from .tensor import (
     RowInvariant,
@@ -156,14 +156,19 @@ def standardize_inputs(config: ModelConfig, samples) -> ModelConfig:
     Channels spanning very different magnitudes (counts vs pressure)
     otherwise saturate the recurrent gates.  Shift is the channel mean
     over all samples and steps, scale its standard deviation (constant
-    channels get scale 1).  No-op when the config already standardizes.
+    channels get scale 1); a channel whose mean or deviation overflows
+    is a NumericError.  No-op when the config already standardizes.
     """
     if config.input_shift:
         return config
     if len(samples) == 0:
         raise UsageError("standardize_inputs needs a nonempty sample set")
-    mean = samples.data.mean(axis=(0, 1))
-    std = samples.data.std(axis=(0, 1))
+    with np.errstate(all="ignore"):  # checked below
+        mean = samples.data.mean(axis=(0, 1))
+        std = samples.data.std(axis=(0, 1))
+    for c in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):  # the first such channel
+        raise NumericError(f"input channel {c} overflows its standardization"
+                           f" (mean {mean[c]:.6g}, std {std[c]:.6g})")
     std[std == 0.0] = 1.0
     return replace(config, input_shift=tuple(mean), input_scale=tuple(std))
 

@@ -13,15 +13,17 @@ Typical use::
     backward(g, loss)
     w.grad  # ndarray of d loss / d w
 
-backward spends the graph it is handed: each entry, and the activations
-its rule holds, is dropped as soon as the rule has run, and an
-intermediate keeps its ``.grad`` only for as long as the program keeps
-the tensor.  Record a new Graph for every backward.
+The tape references tensors weakly and its backward rules hold only the
+arrays they read, so an intermediate the program drops is freed during
+the forward pass.  backward spends the graph: each entry and its rule's
+arrays go once the rule has run, and ``.grad`` lands only on tensors the
+program still keeps.  Record a new Graph for every backward.
 
 Operations executed while no Graph is active compute forward values only,
 which is the inference fast path.
 """
 
+import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -38,7 +40,7 @@ class Tensor:
     the tensor's shape; flatten for the row-major view).
     """
 
-    __slots__ = ("array", "grad")
+    __slots__ = ("array", "grad", "__weakref__")
 
     def __init__(self, data, _checked=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -76,12 +78,13 @@ class Tensor:
 class Graph:
     """Execution-ordered record of differentiable operations.
 
-    Each entry holds the output tensor, the input tensors, and a backward
-    rule mapping the output gradient to input gradients.  Execution order
-    is a topological order by construction, so the backward sweep visits
-    entries exactly once, in reverse.  A Graph is single-owner: do not
-    share one across threads.  Its one backward spends it: ``ops`` is
-    None afterwards, and nothing more may be recorded on it.
+    Each entry holds weak references to the output and input tensors and
+    a backward rule mapping the output gradient to input gradients, which
+    holds only the arrays it reads.  Execution order is a topological
+    order by construction, so the backward sweep visits entries exactly
+    once, in reverse.  A Graph is single-owner: do not share one across
+    threads.  Its one backward spends it: ``ops`` is None afterwards, and
+    nothing more may be recorded on it.
     """
 
     def __init__(self):
@@ -97,7 +100,11 @@ class Graph:
         return False
 
     def record(self, out, inputs, backward_fn):
-        self.ops.append((out, inputs, backward_fn))
+        # weakref.ref returns a tensor's existing ref, so all entries key a
+        # tensor alike; a ref hashes only while its tensor lives, then keeps it
+        refs = tuple(weakref.ref(t) for t in (out, *inputs))
+        hash(refs)  # hashes every ref
+        self.ops.append((refs[0], refs[1:], backward_fn))
 
 
 _graph_stack = []
@@ -151,35 +158,35 @@ def _finite_or_raise(arr, op):
 
 def backward(graph: Graph, loss: Tensor) -> None:
     """Accumulate d loss / d tensor into ``.grad`` for every tensor that
-    the loss depends on.  ``loss`` must be a scalar recorded on ``graph``.
-    Gradients from a previous backward call are overwritten.
+    the loss depends on and the program still keeps: leaves, the loss,
+    and intermediates it holds.  ``loss`` must be a scalar recorded on
+    ``graph``.  Gradients from a previous backward call are overwritten.
 
     The sweep spends the graph: it pops one entry at a time, so each
-    entry's output, inputs and rule are dropped once the rule has run,
-    and a second backward on the same graph is a UsageError.  An op
+    entry's rule and the arrays it holds are dropped once the rule has
+    run, and a second backward on the same graph is a UsageError.  Sums
+    are keyed by the tape's weak references, which stay distinct after
+    their tensors die, where a freed tensor's id() may be reused.  An op
     output's gradient is final once its entry is reached, so it is set
-    on that tensor then and freed with it; leaf gradients are set last.
+    on that tensor then, if it is alive; leaf gradients are set last.
     """
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     ops, graph.ops = graph.ops, None
     if ops is None:
         raise UsageError("this graph was spent by an earlier backward; record a new one")
-    grads = {id(loss): np.ones_like(loss.array)}
-    holders = {id(loss): loss}  # every tensor whose grad is still in grads
-    sums = set()  # ids whose grad is a sum this loop allocated, and no piece aliases
+    grads = {weakref.ref(loss): np.ones_like(loss.array)}
+    sums = set()  # refs whose grad is a sum this loop allocated, and no piece aliases
     while ops:
-        out, inputs, backward_fn = ops.pop()
-        key = id(out)
-        g = grads.pop(key, None)
+        ref, inputs, backward_fn = ops.pop()
+        g = grads.pop(ref, None)
         if g is None:
             continue
-        del holders[key]
-        out.grad = g
-        for t, piece in zip(inputs, backward_fn(g)):
+        if (out := ref()) is not None:
+            out.grad = g
+        for key, piece in zip(inputs, backward_fn(g)):
             if piece is None:
                 continue
-            key = id(t)
             have = grads.get(key)
             if have is None:
                 grads[key] = piece
@@ -191,9 +198,9 @@ def backward(graph: Graph, loss: Tensor) -> None:
                 grads[key] = have = have + piece
                 if have.ndim:  # a 0-d sum is a NumPy scalar, not a buffer
                     sums.add(key)
-            holders[key] = t
-    for key, t in holders.items():
-        t.grad = grads[key]
+    for ref, g in grads.items():
+        if (t := ref()) is not None:
+            t.grad = g
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +402,10 @@ def time_slice(x: Tensor, t: int) -> Tensor:
     if not 0 <= t < steps:
         raise UsageError(f"step {t} out of range for {steps} steps")
     values = x.array[..., t, :]
+    shape = x.shape
 
     def bwd(g):
-        dx = np.zeros_like(x.array)
+        dx = np.zeros(shape)
         dx[..., t, :] = g
         return (dx,)
 
@@ -439,7 +447,8 @@ def time_mean(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Scalar sum of all elements."""
     values = np.asarray(x.array.sum())
-    return _emit(values, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
+    shape = x.shape
+    return _emit(values, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 _LOG_FLOOR = 1e-12
@@ -459,13 +468,13 @@ def nll_loss(probs: Tensor, labels) -> Tensor:
         )
     if labels.min() < 0 or labels.max() >= pv.shape[1]:
         raise UsageError(f"labels out of range for {pv.shape[1]} classes")
-    n = pv.shape[0]
+    n, shape = pv.shape[0], pv.shape
     picked = pv[np.arange(n), labels]
     clamped = np.maximum(picked, _LOG_FLOOR)
     values = np.asarray(-np.log(clamped).mean())
 
     def bwd(g):
-        dp = np.zeros_like(pv)
+        dp = np.zeros(shape)
         live = picked > _LOG_FLOOR
         dp[np.arange(n)[live], labels[live]] = -float(g) / (n * picked[live])
         return (dp,)

@@ -606,6 +606,27 @@ def test_generate_refuses_finite_volumes_whose_statistics_overflow(tmp_path, cap
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_train_refuses_features_whose_standardization_overflows(tmp_path, capsys):
+    # sigma 1e150 gives finite features, but the variance channel's deviation
+    # squares past 1e308: train refuses before it writes, in one line with no
+    # NumPy warning, rather than write an input_scale of inf that evaluate refuses
+    config = tmp_path / "run.cfg"
+    config.write_text("data.samples_per_class = 10\ndata.sigma = 1e150\n"
+                      "train.max_epochs = 1\ntrain.patience = 1\n")
+    out = tmp_path / "out"
+    for stage in ("generate", "featurize"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "model.ckpt").write_text("untouched\n")
+    before = _snapshot(out)
+    stage = _stage(["-m", "stormstack", "train", "--config", str(config), "--out", str(out)])
+    _, err = stage.communicate(timeout=300)
+    assert stage.returncode == 3
+    assert err == ("numeric error: input channel 3 overflows its standardization"
+                   " (mean 3.67579e+299, std inf)\n")
+    assert _snapshot(out) == before
+
+
 # the second event's six scans are lines 8-13; a fault in its timestamps
 # is named at line 8
 @pytest.mark.parametrize("index, stamp, message", [

@@ -1,5 +1,7 @@
 """Forward fixtures and gradient checks for the array engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -256,17 +258,19 @@ def test_backward_accumulates_over_reuse():
 
 
 def _out_of_place_grads(graph, loss):
-    """backward's sums with every accumulation a new array: {id: grad}."""
-    grads = {id(loss): np.ones_like(loss.array)}
-    for out, inputs, backward_fn in reversed(graph.ops):
-        g = grads.get(id(out))
+    """backward's sums with every accumulation a new array: {id: grad}
+    for each tensor still alive.  Tape entries hold weak references,
+    keyed here as backward keys them."""
+    grads = {weakref.ref(loss): np.ones_like(loss.array)}
+    for out_ref, inputs, backward_fn in reversed(graph.ops):
+        g = grads.get(out_ref)
         if g is None:
             continue
-        for t, piece in zip(inputs, backward_fn(g)):
+        for ref, piece in zip(inputs, backward_fn(g)):
             if piece is not None:
-                have = grads.get(id(t))
-                grads[id(t)] = piece if have is None else have + piece
-    return grads
+                have = grads.get(ref)
+                grads[ref] = piece if have is None else have + piece
+    return {id(t): g for ref, g in grads.items() if (t := ref()) is not None}
 
 
 def test_backward_in_place_sums_match_out_of_place_bits():
@@ -295,6 +299,66 @@ def test_backward_in_place_sums_match_out_of_place_bits():
     want = _out_of_place_grads(g, loss)
     backward(g, loss)
     assert np.asarray(x.grad).tobytes() == np.asarray(want[id(x)]).tobytes()
+
+
+def test_the_tape_frees_an_intermediate_the_program_drops():
+    # m feeds only bias_add, whose rule reads nothing of it: once the
+    # program drops m, the weak tape lets it and its array go before
+    # backward, and the leaves still get the oracle's bits
+    rng = np.random.default_rng(21)
+    x, w, b = (Tensor(rng.standard_normal(shape)) for shape in ((4, 3), (3, 5), (5,)))
+    with Graph() as g:
+        m = matmul(x, w)
+        dead = weakref.ref(m), weakref.ref(m.array)
+        y = bias_add(m, b)
+        del m
+        loss = sum_all(sigmoid(y))
+    assert [r() for r in dead] == [None, None]
+    want = _out_of_place_grads(g, loss)
+    backward(g, loss)
+    live = (x, w, b, y, loss)
+    assert [t.grad.tobytes() for t in live] == [want[id(t)].tobytes() for t in live]
+
+
+def _recurrence(x, w, keep):
+    """Forty steps of h = tanh(mul(h, w) + u) from h = x, u a new leaf
+    holding x's values at each step, recorded on a new Graph: (graph,
+    loss, every eighth h, ids of the op outputs, ids of the leaves u).
+    keep, when a list, holds every tensor; otherwise each is dropped
+    once used, so new tensors take the ids of freed ones."""
+    kept, outs, leaves = [], [], []
+    h = x
+    with Graph() as g:
+        for step in range(40):
+            m = mul(h, w)
+            u = Tensor(x.array)
+            a = add(m, u)
+            h = tanh(a)
+            outs += (id(m), id(a), id(h))
+            leaves.append(id(u))
+            if keep is not None:
+                keep += (m, u, a, h)
+            if step % 8 == 0:
+                kept.append(h)
+        loss = sum_all(h)
+    return g, loss, kept, outs, leaves
+
+
+def test_backward_keys_tensors_whose_ids_are_reused():
+    rng = np.random.default_rng(23)
+    x, w = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 3)))
+    g, loss, kept, outs, leaves = _recurrence(x, w, [])
+    assert len(set(outs + leaves)) == len(outs + leaves)
+    backward(g, loss)
+    strong = [t.grad.tobytes() for t in (x, w, *kept, loss)]
+    # without the keep list a leaf takes the id of a freed op output, whose
+    # grad an id-keyed backward would add into the leaf's
+    g, loss, kept, outs, leaves = _recurrence(x, w, None)
+    assert set(outs) & set(leaves)
+    want = _out_of_place_grads(g, loss)
+    backward(g, loss)
+    live = (x, w, *kept, loss)
+    assert [t.grad.tobytes() for t in live] == [want[id(t)].tobytes() for t in live] == strong
 
 
 def test_backward_spends_its_graph():
