@@ -1,4 +1,4 @@
-"""Acceptance gate: eight release criteria, one verdict line each.
+"""Acceptance gate: nine release criteria, one verdict line each.
 
 Each test prints a [PASS]/[FAIL] line with the measured numbers before
 asserting, so `pytest tests/test_acceptance.py -v -s` reads as a
@@ -7,10 +7,14 @@ gradient checks at 1e-5 per op and 1e-4 for the assembled model, metric
 fixtures at 1e-6, and wall-clock budgets on the two long runs.
 """
 
+import hashlib
 import math
+import pathlib
+import platform
 import time
 
 import numpy as np
+import pytest
 
 from stormstack.config import RunConfig
 from stormstack import cli
@@ -318,21 +322,24 @@ def test_end_to_end_learnability():
              f" (needs 0.75), KNN tornado F1 {knn_report.f1:.4f}, {elapsed:.0f}s")
 
 
+_SMALL_RUN = (
+    "seed = 5\n"
+    "data.samples_per_class = 12\n"
+    "data.steps = 6\n"
+    "data.grid = 4x4x2\n"
+    "data.cell = 2x2x1\n"
+    "model.conv = 6x3\n"
+    "model.hidden = 8\n"
+    "model.heads = 4\n"
+    "train.max_epochs = 4\n"
+    "train.batch_size = 8\n"
+    "train.patience = 4\n"
+)
+
+
 def test_pipeline_determinism(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text(
-        "seed = 5\n"
-        "data.samples_per_class = 12\n"
-        "data.steps = 6\n"
-        "data.grid = 4x4x2\n"
-        "data.cell = 2x2x1\n"
-        "model.conv = 6x3\n"
-        "model.hidden = 8\n"
-        "model.heads = 4\n"
-        "train.max_epochs = 4\n"
-        "train.batch_size = 8\n"
-        "train.patience = 4\n"
-    )
+    config.write_text(_SMALL_RUN)
     artifacts = ("train.csv", "val.csv", "test.csv", "model.ckpt",
                  "metrics_model.csv", "metrics_model.txt", "predictions.csv")
     runs = {}
@@ -346,6 +353,47 @@ def test_pipeline_determinism(tmp_path):
     ok = identical == list(artifacts)
     _verdict(ok, "pipeline determinism",
              f"{len(identical)}/{len(artifacts)} artifacts byte-identical")
+
+
+_DIGESTS = pathlib.Path(__file__).with_name("artifact_digests.txt")
+# no BLAS product reaches these files, so their bytes hold on every build
+_DATA_SIDE = {"events.csv", "volumes.csv", "train.csv", "val.csv", "test.csv", "run_config.txt"}
+
+
+def _numeric_build():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, {platform.machine()}"
+
+
+def test_artifact_digests(tmp_path):
+    # the byte contract: every artifact of the small run, with every
+    # baseline and the report, keeps the sha256 recorded in
+    # artifact_digests.txt (out_dir normalized in run_config.txt).  The
+    # model-side files are compared only on the NumPy/BLAS build they were
+    # recorded on.  Re-record only for a change meant to alter bytes.
+    config = tmp_path / "run.cfg"
+    config.write_text(_SMALL_RUN)
+    out = tmp_path / "run"
+    for sub in (["generate"], ["featurize"], ["train"], ["evaluate", "--baselines", "knn,rnn,lstm,bilstm"],
+                ["predict"], ["report"]):
+        assert cli.main(sub + ["--config", str(config), "--out", str(out)]) == 0, sub[0]
+    got = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.name == "run_config.txt":
+            data = data.replace(str(out).encode(), b"OUT")
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    lines = [line for line in _DIGESTS.read_text().splitlines() if not line.startswith("#")]
+    build = lines[0].removeprefix("build ")
+    want = {name: digest for digest, name in (line.split() for line in lines[1:])}
+    same_build = build == _numeric_build()
+    compared = sorted(name for name in want.keys() | got.keys()
+                      if same_build or name in _DATA_SIDE)
+    differ = [name for name in compared if got.get(name) != want.get(name)]
+    _verdict(not differ, "artifact digests",
+             f"differ: {', '.join(differ)}" if differ else f"{len(compared)} files match")
+    if not same_build:
+        pytest.skip(f"model-side files not compared: recorded on {build}, running {_numeric_build()}")
 
 
 def test_balance_and_split_contract():
