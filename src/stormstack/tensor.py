@@ -2,8 +2,9 @@
 
 Just enough of an array engine to train the sequence models in this
 toolkit: explicit operations, an execution-ordered tape, and a finite
-difference gradient checker.  No broadcasting beyond bias addition, no
-views, no in-place math; every operation allocates its output.
+difference gradient checker.  No broadcasting beyond bias addition;
+every operation allocates its output, which stays read-only, and only
+``training.adam_step`` writes a parameter's values, between steps.
 
 Typical use::
 
@@ -33,7 +34,8 @@ from .errors import DimensionError, NumericError, UsageError
 
 
 class Tensor:
-    """Immutable dense array of float64 values plus an optional gradient.
+    """Read-only dense float64 array plus an optional gradient; only
+    ``adam_step`` writes one, a parameter, between training steps.
 
     ``values`` exposes the row-major flat view of the data; ``grad`` is
     None until a backward pass deposits accumulated partials (stored with
@@ -78,13 +80,14 @@ class Tensor:
 class Graph:
     """Execution-ordered record of differentiable operations.
 
-    Each entry holds weak references to the output and input tensors and
-    a backward rule mapping the output gradient to input gradients, which
-    holds only the arrays it reads.  Execution order is a topological
-    order by construction, so the backward sweep visits entries exactly
-    once, in reverse.  A Graph is single-owner: do not share one across
-    threads.  Its one backward spends it: ``ops`` is None afterwards, and
-    nothing more may be recorded on it.
+    Each entry holds weak references to the output and input tensors and a
+    backward rule mapping the output gradient to input gradients, which holds
+    only the arrays it reads, parameters' included, so run backward before
+    Adam writes them.  Execution order is a topological order by
+    construction, so the backward sweep visits entries exactly once, in
+    reverse.  A Graph is single-owner: do not share one across threads.  Its
+    one backward spends it: ``ops`` is None afterwards, and nothing more may
+    be recorded on it.
     """
 
     def __init__(self):
@@ -176,7 +179,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
     if ops is None:
         raise UsageError("this graph was spent by an earlier backward; record a new one")
     grads = {weakref.ref(loss): np.ones_like(loss.array)}
-    sums = set()  # refs whose grad is a sum this loop allocated, and no piece aliases
+    sums = set()  # refs whose grad is an array nothing else holds, which later pieces add into
     while ops:
         ref, inputs, backward_fn = ops.pop()
         g = grads.pop(ref, None)
@@ -184,12 +187,15 @@ def backward(graph: Graph, loss: Tensor) -> None:
             continue
         if (out := ref()) is not None:
             out.grad = g
-        for key, piece in zip(inputs, backward_fn(g)):
+        pieces = backward_fn(g)
+        for key, piece in zip(inputs, pieces):
             if piece is None:
                 continue
             have = grads.get(key)
             if have is None:
                 grads[key] = piece
+                if piece.ndim and piece.base is None and piece is not g and sum(p is piece for p in pieces) < 2:
+                    sums.add(key)  # an array its rule just made for this input alone: add into it
             elif key in sums:
                 np.add(have, piece, out=have)
             else:
@@ -198,6 +204,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
                 grads[key] = have = have + piece
                 if have.ndim:  # a 0-d sum is a NumPy scalar, not a buffer
                     sums.add(key)
+        del pieces  # an added piece dies now, not after the next rule
     for ref, g in grads.items():
         if (t := ref()) is not None:
             t.grad = g
@@ -287,7 +294,8 @@ def relu(x: Tensor) -> Tensor:
     """max(0, x); the gradient at exactly 0 is taken to be 0."""
     xv = x.array
     values = np.maximum(xv, 0.0)
-    return _emit(values, (x,), lambda g: (g * (xv > 0.0),))
+    mask = xv > 0.0
+    return _emit(values, (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -439,7 +447,7 @@ def time_mean(x: Tensor) -> Tensor:
     values = x.array.mean(axis=-2)
 
     def bwd(g):
-        return (np.repeat(np.expand_dims(g, -2), steps, axis=-2) / steps,)
+        return (np.repeat(np.expand_dims(g / steps, -2), steps, axis=-2),)
 
     return _emit(values, (x,), bwd)
 

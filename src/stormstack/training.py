@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UsageError, ValidationError
+from .errors import DimensionError, NumericError, UsageError, ValidationError
 from .model import ModelConfig, forward_batch, init_params
 from .rng import SplitMix64
 from .tensor import Graph, Tensor, backward, nll_loss
@@ -53,12 +53,13 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One Adam update.
+    """One Adam update, written into each parameter's own array.
 
     params maps names to tensors, grads maps the same names to
     gradient arrays.  Moments use the standard bias correction; the
-    update is p - lr * m_hat / (sqrt(v_hat) + epsilon).  Returns the
-    new parameter dict; moments are updated in place.
+    update is p - lr * m_hat / (sqrt(v_hat) + epsilon), elementwise.  A
+    parameter's new values are checked finite before they are written,
+    and moments are updated in place.  Returns params.
     """
     missing = [name for name in params if grads.get(name) is None]
     if missing:
@@ -67,7 +68,6 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     t = state.step
     scale1 = 1.0 - config.beta1 ** t
     scale2 = 1.0 - config.beta2 ** t
-    updated = {}
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
@@ -79,9 +79,17 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
         m += (1.0 - config.beta1) * g
         v *= config.beta2
         v += ((1.0 - config.beta2) * g) * g
-        step_dir = (m / scale1) / (np.sqrt(v / scale2) + config.epsilon)
-        updated[name] = Tensor(p.array - config.learning_rate * step_dir)
-    return updated
+        step = np.sqrt(v / scale2)  # each temporary below is one parameter's size
+        step += config.epsilon
+        np.divide(m / scale1, step, out=step)
+        step *= config.learning_rate
+        new = p.array - step
+        if not np.isfinite(new).all():
+            raise NumericError(f"adam_step produced non-finite values for {name}")
+        p.array.flags.writeable = True
+        p.array[...] = new
+        p.array.flags.writeable = False
+    return params
 
 
 def _dataset_loss_acc(x, y, params, config):
@@ -96,11 +104,11 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
     Each epoch shuffles the training set with the seeded generator,
     walks it in minibatches (the last one may be short), and takes one
     Adam step per batch on the mean cross-entropy.  After each epoch
-    the full validation set is scored; the parameters with the lowest
-    validation loss so far are kept, and training stops once that loss
-    has not improved for `patience` consecutive epochs.  The log holds
-    one (epoch, train_loss, val_loss, val_accuracy) row per epoch.
-    No returned parameter carries a gradient.
+    the full validation set is scored; a copy of the parameters with the
+    lowest validation loss so far is kept (Adam writes them in place),
+    and training stops once that loss has not improved for `patience`
+    consecutive epochs.  The log holds one (epoch, train_loss, val_loss,
+    val_accuracy) row per epoch.  No returned parameter carries a gradient.
     """
     for part, what in ((train_set, "training"), (val_set, "validation")):
         if len(part) == 0:
@@ -128,17 +136,15 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
                 loss = nll_loss(probs, yb)
                 backward(graph, loss)
             total += loss.item() * len(batch)
-            grads = {name: p.grad for name, p in params.items()}
-            for p in params.values():  # best_params may hold these tensors: keep no grad on them
+            adam_step(params, {name: p.grad for name, p in params.items()}, state, train_config)
+            for p in params.values():  # keep no grad alive through the next step
                 p.grad = None
-            params = adam_step(params, grads, state, train_config)
-            del grads  # nor alive through the next step
         train_loss = total / n
         val_loss, val_acc = _dataset_loss_acc(val_set.data, val_set.labels, params, model_config)
         log.append((epoch, train_loss, val_loss, val_acc))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params
+            best_params = {name: Tensor(p.array.copy()) for name, p in params.items()}
             stale = 0
         else:
             stale += 1

@@ -9,6 +9,7 @@ from stormstack.errors import DimensionError, NumericError, UsageError
 from stormstack.tensor import (
     Graph,
     Tensor,
+    _emit,
     add,
     backward,
     bias_add,
@@ -299,6 +300,25 @@ def test_backward_in_place_sums_match_out_of_place_bits():
     want = _out_of_place_grads(g, loss)
     backward(g, loss)
     assert np.asarray(x.grad).tobytes() == np.asarray(want[id(x)]).tobytes()
+
+
+def test_backward_adds_into_a_new_piece_only_when_one_input_has_it():
+    # a rule may hand one array it just made to two inputs: a's later piece
+    # (from mul, recorded earlier) must go into a new sum, not into b's grad
+    rng = np.random.default_rng(25)
+    a, b, w, u = (Tensor(rng.standard_normal((2, 3))) for _ in range(4))
+
+    def shared(g):
+        piece = g * 2.0
+        return piece, piece
+
+    with Graph() as g:
+        early = mul(a, w)
+        twice = _emit(2.0 * (a.array + b.array), (a, b), shared)
+        loss = sum_all(add(mul(twice, u), early))
+    want = _out_of_place_grads(g, loss)
+    backward(g, loss)
+    assert [t.grad.tobytes() for t in (a, b, w, u)] == [want[id(t)].tobytes() for t in (a, b, w, u)]
 
 
 def test_the_tape_frees_an_intermediate_the_program_drops():
