@@ -2,9 +2,8 @@
 
 Just enough of an array engine to train the sequence models in this
 toolkit: explicit operations, an execution-ordered tape, and a finite
-difference gradient checker.  No broadcasting beyond bias addition;
-every operation allocates its output, which stays read-only, and only
-``training.adam_step`` writes a parameter's values, between steps.
+difference gradient checker.  No broadcasting beyond bias addition, no
+views, no in-place math; every operation allocates its output.
 
 Typical use::
 
@@ -34,8 +33,7 @@ from .errors import DimensionError, NumericError, UsageError
 
 
 class Tensor:
-    """Read-only dense float64 array plus an optional gradient; only
-    ``adam_step`` writes one, a parameter, between training steps.
+    """Immutable dense array of float64 values plus an optional gradient.
 
     ``values`` exposes the row-major flat view of the data; ``grad`` is
     None until a backward pass deposits accumulated partials (stored with
@@ -80,14 +78,13 @@ class Tensor:
 class Graph:
     """Execution-ordered record of differentiable operations.
 
-    Each entry holds weak references to the output and input tensors and a
-    backward rule mapping the output gradient to input gradients, which holds
-    only the arrays it reads, parameters' included, so run backward before
-    Adam writes them.  Execution order is a topological order by
-    construction, so the backward sweep visits entries exactly once, in
-    reverse.  A Graph is single-owner: do not share one across threads.  Its
-    one backward spends it: ``ops`` is None afterwards, and nothing more may
-    be recorded on it.
+    Each entry holds weak references to the output and input tensors and
+    a backward rule mapping the output gradient to input gradients, which
+    holds only the arrays it reads.  Execution order is a topological
+    order by construction, so the backward sweep visits entries exactly
+    once, in reverse.  A Graph is single-owner: do not share one across
+    threads.  Its one backward spends it: ``ops`` is None afterwards, and
+    nothing more may be recorded on it.
     """
 
     def __init__(self):

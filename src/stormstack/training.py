@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError, ValidationError
+from .errors import DimensionError, UsageError, ValidationError
 from .model import ModelConfig, forward_batch, init_params
 from .rng import SplitMix64
 from .tensor import Graph, Tensor, backward, nll_loss
@@ -53,13 +53,14 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One Adam update, written into each parameter's own array.
+    """One Adam update, made in params itself.
 
     params maps names to tensors, grads maps the same names to
     gradient arrays.  Moments use the standard bias correction; the
-    update is p - lr * m_hat / (sqrt(v_hat) + epsilon), elementwise.  A
-    parameter's new values are checked finite before they are written,
-    and moments are updated in place.  Returns params.
+    update is p - lr * m_hat / (sqrt(v_hat) + epsilon).  Each tensor in
+    params is replaced, as the loop reaches it, by a new one holding its
+    updated values, so no second set of parameters is held.  Returns
+    params; moments are updated in place.
     """
     missing = [name for name in params if grads.get(name) is None]
     if missing:
@@ -83,12 +84,7 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
         step += config.epsilon
         np.divide(m / scale1, step, out=step)
         step *= config.learning_rate
-        new = p.array - step
-        if not np.isfinite(new).all():
-            raise NumericError(f"adam_step produced non-finite values for {name}")
-        p.array.flags.writeable = True
-        p.array[...] = new
-        p.array.flags.writeable = False
+        params[name] = Tensor(p.array - step)
     return params
 
 
@@ -104,11 +100,11 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
     Each epoch shuffles the training set with the seeded generator,
     walks it in minibatches (the last one may be short), and takes one
     Adam step per batch on the mean cross-entropy.  After each epoch
-    the full validation set is scored; a copy of the parameters with the
-    lowest validation loss so far is kept (Adam writes them in place),
-    and training stops once that loss has not improved for `patience`
-    consecutive epochs.  The log holds one (epoch, train_loss, val_loss,
-    val_accuracy) row per epoch.  No returned parameter carries a gradient.
+    the full validation set is scored; the parameters with the lowest
+    validation loss so far are kept, and training stops once that loss
+    has not improved for `patience` consecutive epochs.  The log holds
+    one (epoch, train_loss, val_loss, val_accuracy) row per epoch.
+    No returned parameter carries a gradient.
     """
     for part, what in ((train_set, "training"), (val_set, "validation")):
         if len(part) == 0:
@@ -136,15 +132,17 @@ def train(train_set, val_set, model_config: ModelConfig, train_config: TrainConf
                 loss = nll_loss(probs, yb)
                 backward(graph, loss)
             total += loss.item() * len(batch)
-            adam_step(params, {name: p.grad for name, p in params.items()}, state, train_config)
-            for p in params.values():  # keep no grad alive through the next step
+            grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():  # best_params may hold these tensors: keep no grad on them
                 p.grad = None
+            params = adam_step(params, grads, state, train_config)
+            del grads  # nor alive through the next step
         train_loss = total / n
         val_loss, val_acc = _dataset_loss_acc(val_set.data, val_set.labels, params, model_config)
         log.append((epoch, train_loss, val_loss, val_acc))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {name: Tensor(p.array.copy()) for name, p in params.items()}
+            best_params = dict(params)  # adam_step replaces the tensors of params
             stale = 0
         else:
             stale += 1
