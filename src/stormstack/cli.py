@@ -143,13 +143,14 @@ def cmd_evaluate(cfg, args):
     unknown = [b for b in requested if b not in BASELINES]
     if unknown:
         raise UsageError(f"unknown baselines {unknown}; choose from {list(BASELINES)}")
-    # every input is read before any write; the model is scored before the
-    # training splits load, so its chunk buffers do not add to their memory
+    # every input is read before any write; the model is scored and dropped
+    # before the training splits load, so they reuse its weights' and buffers' memory
     test_set = _load_split(cfg, "test")
     positive = args.positive_class
     params, model_config = dataio.load_checkpoint(_out(cfg, "model.ckpt"))
     model_config.check_shape(test_set.data, _out(cfg, "test.csv"))
     report = evaluate(_classifier(params, model_config), test_set, positive, MODEL_NAME)
+    del params
     if requested:
         train_set = _load_split(cfg, "train")
     if set(requested) - {"knn"}:  # the fitted baselines validate on val.csv

@@ -18,6 +18,7 @@ import pytest
 
 from stormstack.config import RunConfig
 from stormstack import cli
+from stormstack.dataio import save_checkpoint, write_predictions, write_sequences
 from stormstack.features import (
     SequenceSet,
     balance,
@@ -295,7 +296,7 @@ def test_feature_oracle():
              f"fixture={fixture}, max dev {worst:.2e}")
 
 
-def test_end_to_end_learnability():
+def test_end_to_end_learnability(tmp_path):
     start = time.monotonic()
     run = RunConfig()  # 500 per class, seed 42, the shipped architecture
     events, volumes = generate_synthetic(run.synthetic_config())
@@ -320,6 +321,14 @@ def test_end_to_end_learnability():
     _verdict(ok, "end-to-end learnability",
              f"accuracy {accuracy:.4f} (needs 0.85), tornado F1 {model_report.f1:.4f}"
              f" (needs 0.75), KNN tornado F1 {knn_report.f1:.4f}, {elapsed:.0f}s")
+    # the byte contract on the default config, as test_artifact_digests keeps it
+    for name, samples in (("train.csv", parts.train), ("val.csv", parts.validation), ("test.csv", parts.test)):
+        write_sequences(tmp_path / name, samples)
+    save_checkpoint(params, model_config, tmp_path / "model.ckpt")
+    probs = forward(parts.test.data, params, model_config)
+    write_predictions(tmp_path / "predictions.csv", parts.test, probs, predict_class(probs))
+    _check_digests({path.name: path.read_bytes() for path in tmp_path.iterdir()},
+                   _DIGESTS.with_name("default_digests.txt"))
 
 
 _SMALL_RUN = (
@@ -365,35 +374,38 @@ def _numeric_build():
     return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, {platform.machine()}"
 
 
-def test_artifact_digests(tmp_path):
-    # the byte contract: every artifact of the small run, with every
-    # baseline and the report, keeps the sha256 recorded in
-    # artifact_digests.txt (out_dir normalized in run_config.txt).  The
-    # model-side files are compared only on the NumPy/BLAS build they were
-    # recorded on.  Re-record only for a change meant to alter bytes.
-    config = tmp_path / "run.cfg"
-    config.write_text(_SMALL_RUN)
-    out = tmp_path / "run"
-    for sub in (["generate"], ["featurize"], ["train"], ["evaluate", "--baselines", "knn,rnn,lstm,bilstm"],
-                ["predict"], ["report"]):
-        assert cli.main(sub + ["--config", str(config), "--out", str(out)]) == 0, sub[0]
-    got = {}
-    for path in out.iterdir():
-        data = path.read_bytes()
-        if path.name == "run_config.txt":
-            data = data.replace(str(out).encode(), b"OUT")
-        got[path.name] = hashlib.sha256(data).hexdigest()
-    lines = [line for line in _DIGESTS.read_text().splitlines() if not line.startswith("#")]
+def _check_digests(files, digests):
+    """Compare the sha256 of each file's bytes ({name: bytes}) with the
+    digest file: the data-side files always, the model-side files only on
+    the NumPy/BLAS build they were recorded on, the test ending skipped on
+    another.  Re-record digests only for a change meant to alter bytes."""
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    lines = [line for line in digests.read_text().splitlines() if not line.startswith("#")]
     build = lines[0].removeprefix("build ")
     want = {name: digest for digest, name in (line.split() for line in lines[1:])}
     same_build = build == _numeric_build()
     compared = sorted(name for name in want.keys() | got.keys()
                       if same_build or name in _DATA_SIDE)
     differ = [name for name in compared if got.get(name) != want.get(name)]
-    _verdict(not differ, "artifact digests",
+    _verdict(not differ, f"artifact digests ({digests.name})",
              f"differ: {', '.join(differ)}" if differ else f"{len(compared)} files match")
     if not same_build:
         pytest.skip(f"model-side files not compared: recorded on {build}, running {_numeric_build()}")
+
+
+def test_artifact_digests(tmp_path):
+    # the byte contract: every artifact of the small run, with every
+    # baseline and the report, keeps the sha256 recorded in
+    # artifact_digests.txt (out_dir normalized in run_config.txt)
+    config = tmp_path / "run.cfg"
+    config.write_text(_SMALL_RUN)
+    out = tmp_path / "run"
+    for sub in (["generate"], ["featurize"], ["train"], ["evaluate", "--baselines", "knn,rnn,lstm,bilstm"],
+                ["predict"], ["report"]):
+        assert cli.main(sub + ["--config", str(config), "--out", str(out)]) == 0, sub[0]
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    files["run_config.txt"] = files["run_config.txt"].replace(str(out).encode(), b"OUT")
+    _check_digests(files, _DIGESTS)
 
 
 def test_balance_and_split_contract():

@@ -7,6 +7,7 @@ assert on the artifacts it left behind.
 
 import csv
 import errno
+import json
 import os
 import pickle
 import re
@@ -14,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -342,6 +344,29 @@ def test_only_the_fitted_baselines_read_val_csv(pipeline, tmp_path, capsys):
     assert cli.main(["evaluate", "--baselines", "lstm"] + run) == 2
     _one_data_error(capsys, f"cannot read input {tmp_path / 'val.csv'}: file not found")
     assert _snapshot(tmp_path) == before
+
+
+def test_evaluate_frees_the_checkpoint_before_knn_fits(pipeline, tmp_path, monkeypatch):
+    # the model's parameters are dropped once its report is made, so the
+    # training split and KNN's buffers can reuse their memory
+    config, out = pipeline
+    _copy(out, tmp_path, "train.csv", "test.csv", "model.ckpt")
+    loaded, alive = [], []
+    load, fit = dataio.load_checkpoint, model.KNNClassifier.fit
+
+    def watched_load(path):
+        params, model_config = load(path)
+        loaded.extend(weakref.ref(tensor) for tensor in params.values())
+        return params, model_config
+
+    def watched_fit(self, samples):
+        alive.extend(ref for ref in loaded if ref() is not None)
+        return fit(self, samples)
+
+    monkeypatch.setattr(dataio, "load_checkpoint", watched_load)
+    monkeypatch.setattr(model.KNNClassifier, "fit", watched_fit)
+    assert cli.main(["evaluate", "--baselines", "knn", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert loaded and not alive, f"{len(alive)} of {len(loaded)} parameters alive when KNN fits"
 
 
 def _one_data_error(capsys, *needles):
@@ -1058,6 +1083,19 @@ def _stage(args, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True, **kwargs)
+
+
+def test_bench_tracer_finds_every_traced_name(tmp_path):
+    # bench/tracer.py wraps each traced name before the stage runs, so a
+    # renamed one fails here, as an AttributeError, rather than in a
+    # traced bench run; report on an empty directory is then a data error
+    spans, run = tmp_path / "spans.json", tmp_path / "run"
+    run.mkdir()
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    stage = _stage([str(tracer), str(spans), "report", "--out", str(run)])
+    _, err = stage.communicate(timeout=300)
+    assert (stage.returncode, err) == (2, f"data error: no metrics_*.csv files found in {run}; run evaluate first\n")
+    assert json.loads(spans.read_text())["exit"] == 2
 
 
 def _signal_stage(signum, args, ready):

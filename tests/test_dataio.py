@@ -183,7 +183,7 @@ def test_load_sequences_holds_one_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert _bits(loaded.data) == _bits(data) and not loaded.data.flags.owndata
-    assert peak - start < 3 * data.nbytes, (peak - start, data.nbytes)
+    assert peak - start < 1.5 * data.nbytes, (peak - start, data.nbytes)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -591,6 +591,22 @@ def test_csv_readers_name_the_line_of_an_oversized_field(tmp_path):
         with pytest.raises(ParseError) as err:
             reader(path)
         assert f"{path}:3: field larger than field limit" in str(err.value)
+
+
+def test_long_lines_with_no_oversized_field_skip_the_csv_module(tmp_path, monkeypatch):
+    # a volumes row of a 32x32x8 grid is longer than the csv module's
+    # field size limit, but only a field that long needs the csv module
+    grids = np.random.default_rng(29).standard_normal((3, 32, 32, 8))
+    path = tmp_path / "volumes.csv"
+    path.write_text("event_id,timestamp,nx,ny,nz,missing," + ",".join(f"v_{j + 1}" for j in range(8192)) + "\n"
+                    + "".join(f"ev0,{950 + t},32,32,8,-999.0,{','.join(map(repr, grid.ravel().tolist()))}\n"
+                              for t, grid in enumerate(grids)))
+    assert min(map(len, path.read_text().splitlines()[1:])) > csv.field_size_limit()
+    reader, calls = csv.reader, []
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    scans, _ = load_volumes(path)
+    assert len(calls) == 1  # the header's
+    assert _bits(scans["ev0"].grids) == _bits(grids) and scans["ev0"].timestamps.tolist() == [950, 951, 952]
 
 
 # the faulty record is the fourth, on physical line 5, after a quoted id holding \n
