@@ -7,12 +7,16 @@ Everything is plain UTF-8 text with `\n` line endings, except that
 the files stay byte-identical).  Reals are rendered with repr(), which
 round-trips every double exactly, and the readers reject NaN and
 infinity.  Checkpoint headers use config codecs.  Every CSV file is
-read through `_table`, in parts on forked workers once it is large,
-into columns: the id of each run of records with equal ids, an int64
-array of the integer cells and the float table (np.loadtxt).  So every
-CSV file has the same number grammar and names a malformed record the
-same way, at path:line, and each reader checks its records with array
-passes, or builds each one from the columns as it reaches it.
+read through `_table`, which takes the id and integer cells of each
+record with str.split and the config integer form into columns (an
+int64 array, each id once per run), and parses its floats with
+np.loadtxt, so every CSV file has the same number grammar and reports a
+malformed record the same way, at path:line; each record is built from
+the columns as its reader reaches it.  A file of PART_FLOOR bytes or
+more that holds no `"` is cut just after a \n into one part per CPU the
+process may run on, and this process parses the first part while one
+forked worker parses each other part.  A smaller file, or one holding a
+`"` (a quoted record may hold a \n), is one part, read with no worker.
 Every file is written through `replacing`, a row at a time (volumes.csv
 an event at a time, formatted on every available CPU): text cells go
 through `_cell` and floats through `_reprs`.  `_workers` forks, stops
@@ -96,32 +100,36 @@ def _spans(fd):
 def _table(path, fixed, ints):
     """Open the CSV file at path and read it as a table: column 0 is a
     text id, the columns numbered in ints are integers (ASCII digits with
-    an optional sign) and every other column is a float.  The header must
-    start with fixed and name no column twice.
+    an optional sign) and every other column is a float, each part's
+    floats parsed by one np.loadtxt call.  The header must start with
+    fixed and name no column twice.
 
-    Yields (header, read); read() parses the whole file into columns
-    (ids, bounds, cells, floats).  Records bounds[k] to bounds[k + 1] - 1
-    are the k-th run of records with equal ids, ids[k] (a run goes on
-    across the end of a part); cells[r] holds record r's integer cells,
-    as int64; floats(*spans) stacks the float cells of records a to b - 1
-    of each (a, b) in spans, a view of a part's table when they lie in
-    one span inside one part, else a copy.  Record r is on line r + 2, as
-    lines count records (so a quoted id holding \\n is one line).  The
-    first fault (a field count, a number that does not parse, an
-    integer beyond int64, a NaN or infinity) is raised as a ParseError
-    naming path:line and, for a number, its column; a byte that is not
-    UTF-8 is left to open_text.  NaN and infinity are looked for once
+    Yields (header, rows); rows gives (line, [id, *ints], table, i) for
+    each data record, its floats being row i of table, in column order.
+    Lines count records, so a quoted id holding \\n is one line.  The
+    whole file is parsed, each part into columns (the id of each run of
+    equal ids, an int64 array of the integer cells, the float table), as
+    the caller starts on rows, and its first fault (a field count, a
+    number that does not parse, an integer beyond int64, a NaN or
+    infinity) is raised as a ParseError naming path:line and, for a
+    number, its column; a byte that is not UTF-8 is left to open_text.
+    Only then does the caller check records: a ValidationError or
+    DimensionError it raises while handling one gains the record's
+    path:line and keeps its class.  NaN and infinity are looked for once
     every float has parsed.  Numbers take the grammar of config.py: it
     refuses `1_000` and non-ASCII digits, which int() and float() take,
     and padding that is non-ASCII or \\x1c-\\x1f, which np.loadtxt strips.
 
-    Every file is read in the parts _spans gives: this process parses
-    the first, with the header, through the span reader, while one forked
-    worker parses each other part, with one np.loadtxt call, and sends
-    back its columns.  The faults and their order are those of one part,
-    save which of two faults a byte that is not UTF-8 comes before.
+    Every file is read the same way, in the parts _spans gives: this
+    process parses the first, with the header, through the span reader,
+    while one forked worker parses each other part from its own byte
+    span and sends back its columns.  A file of one part (one under
+    PART_FLOOR bytes, or holding a `"`) is read with no worker.
+    The faults and their order are those of one part, save which of two
+    faults a byte that is not UTF-8 comes before.
     """
     lead = max(ints) + 1  # each record is split after its last integer cell
+    line = 0  # the line of the record the caller is handling
     with open_text(path) as fh:
         spans = _spans(fh.fileno())
 
@@ -130,8 +138,9 @@ def _table(path, fixed, ints):
                                     encoding="utf-8", newline="")
 
         first = stream(*spans[0])
+        reader = csv.reader(first)
         try:
-            header = next(csv.reader(first), None)
+            header = next(reader, None)
         except csv.Error as exc:
             raise ParseError(f"{path}:1: {exc}") from None
         if header is None or header[:len(fixed)] != list(fixed):
@@ -146,18 +155,21 @@ def _table(path, fixed, ints):
         pick = [c for c in floats if c < lead] + ([lead] if width > lead else [])
 
         def parse(lines):
-            """The columns (ids, starts: each run's first record, cells, table)
-            of the records in lines; a fault raises _Fault."""
+            """(ids, starts, cells, table) of the records in lines, an id and its
+            first record per run of equal ids; a fault raises _Fault."""
             ids, starts, cells, limit = [], [], array("q"), csv.field_size_limit()
 
             def tails():
                 # each record's float cells as one line of text, once its id and ints are read
                 for row, text in enumerate(lines):
-                    # the csv module reads a quoted cell (holding , " \r or \n) or refuses a huge one
-                    quoted = '"' in text or len(text) > limit and max(map(len, text.split(","))) > limit
-                    if quoted:  # the float cells are quoted again
+                    oversized = len(text) > limit and max(map(len, text.split(","))) > limit
+                    quoted = '"' in text or oversized
+                    if quoted:
+                        # a quoted cell may hold , " \r or \n: the csv module reads the
+                        # record or refuses its oversized field; floats are quoted again
+                        record = csv.reader(itertools.chain([text], lines))
                         try:
-                            fields = next(csv.reader(itertools.chain([text], lines)))
+                            fields = next(record)
                         except csv.Error as exc:
                             raise _Fault(row, str(exc)) from None
                         count = len(fields)
@@ -204,7 +216,8 @@ def _table(path, fixed, ints):
                 raise _Fault(int(found[2]), f"{found[1]} in column {column}") from None
             return ids, starts, np.frombuffer(cells, np.int64).reshape(len(table), len(ints)), table
 
-        def read():
+        def rows():
+            nonlocal line
             parts = []  # (ids, starts, cells, table) of each part parsed, in file order
             try:  # each worker sends its part's columns as one item
                 with _workers(lambda start, end: [parse(stream(start, end))], spans[1:]) as receive:
@@ -213,27 +226,28 @@ def _table(path, fixed, ints):
             except _Fault as exc:
                 row, message = exc.args
                 raise ParseError(f"{path}:{sum(len(p[3]) for p in parts) + row + 2}: {message}") from None
-            ids, bounds, tables, row = [], [], [], 0  # tables: each part's (first record, table, end)
-            for part_ids, starts, _, table in parts:
+            row = 0  # the row of the file that each part's first record is
+            for *_, table in parts:
                 ok = np.isfinite(table)
                 if not ok.all():
                     i, column = divmod(int(np.argmin(ok)), table.shape[1])
                     raise ParseError(f"{path}:{row + i + 2}: non-finite value {float(table[i, column])!r}"
                                      f" in column {header[floats[column]]}")
-                on = ids[-1:] == part_ids[:1]  # a run goes on from the last part
-                ids += part_ids[on:]
-                bounds += [row + start for start in starts[on:]]
-                tables.append((row, table, row + len(table)))
                 row += len(table)
+            line = 1
+            for ids, starts, cells, table in parts:
+                for run_id, a, b in zip(ids, starts, starts[1:] + [len(table)]):
+                    for i, numbers in enumerate(cells[a:b].tolist(), a):
+                        line += 1
+                        yield line, [run_id, *numbers], table, i
+            line = 0
 
-            def rows(*spans):
-                cut = [t[max(a - o, 0):b - o] for a, b in spans for o, t, end in tables if a < end and o < b]
-                return cut[0] if len(cut) == 1 else np.concatenate(cut or [tables[0][1]])
-
-            cells = parts[0][2] if len(parts) == 1 else np.concatenate([p[2] for p in parts])
-            return ids, np.array(bounds + [row]), cells, rows
-
-        yield header, read
+        try:
+            yield header, rows()
+        except (ValidationError, DimensionError) as exc:
+            if not line:
+                raise
+            raise type(exc)(f"{path}:{line}: {exc}") from None
 
 
 @contextmanager
@@ -308,31 +322,35 @@ def load_sequences(path):
     Every sample must have the most common step count.  The data is a
     view of the parsed table, or of one concatenation of the parts' tables.
     """
-    with _table(path, ("sample_id", "t", "label"), (1, 2)) as (header, read):
+    with _table(path, ("sample_id", "t", "label"), (1, 2)) as (header, rows):
         channels = len(header) - 3
         if header[3:] != [f"f_{j + 1}" for j in range(channels)]:
             raise ParseError(f"{path}: feature columns must be named f_1..f_{channels}")
-        ids, bounds, cells, floats = read()
-    starts, steps = bounds[:-1], np.diff(bounds)
-    own = np.repeat(starts, steps)  # the first row of each row's sample
-    seen = {}  # the first run of each id; a later one resumes its sample
-    again = [int(starts[k]) for k, sample_id in enumerate(ids) if seen.setdefault(sample_id, k) != k]
-    bad = np.flatnonzero((cells[:, 0] != np.arange(len(cells)) - own) | (cells[:, 1] != cells[own, 1]))
-    if again or bad.size:  # the first row that resumes a sample, miscounts its t or changes its label
-        row = min(again[:1] + bad[:1].tolist())
-        sample_id, step, t = ids[np.searchsorted(starts, row, "right") - 1], row - own[row], cells[row, 0]
-        fault = (f"rows for {sample_id} are not contiguous" if row in again
-                 else f"expected t={step} for {sample_id}, got {t}" if t != step
-                 else f"label changed within {sample_id}")
-        raise ValidationError(f"{path}:{row + 2}: {fault}")
-    data = floats((0, len(cells)))
+        first_lines, labels, steps, tables, current = {}, [], [], [np.empty((0, channels))], None
+        for lineno, (sample_id, t, label), table, _ in rows:
+            if sample_id != current:
+                if sample_id in first_lines:
+                    raise ValidationError(f"rows for {sample_id} are not contiguous")
+                current = sample_id
+                first_lines[sample_id] = lineno
+                labels.append(label)
+                steps.append(0)
+            if t != steps[-1]:
+                raise ValidationError(f"expected t={steps[-1]} for {sample_id}, got {t}")
+            if label != labels[-1]:
+                raise ValidationError(f"label changed within {sample_id}")
+            steps[-1] += 1
+            if table is not tables[-1]:  # the rows of each part's table come in file order
+                tables.append(table)
+    ids = list(first_lines)
+    data = np.concatenate(tables) if len(tables) > 2 else tables[-1]
     # a ragged file keeps a slice per sample, so that SequenceSet names one off the common shape
-    data = (data.reshape(len(ids), int(steps.max(initial=0)), channels) if (steps == steps[:1]).all()
-            else np.split(data, starts[1:]))
+    data = (data.reshape(len(ids), max(steps, default=0), channels) if len(set(steps)) < 2
+            else np.split(data, np.cumsum(steps)[:-1]))
     try:
-        return SequenceSet(ids, cells[starts, 1], data)
+        return SequenceSet(ids, labels, data)
     except DataError as exc:
-        raise type(exc)(f"{path}:{starts[exc.sample] + 2}: {exc}") from None
+        raise type(exc)(f"{path}:{first_lines[ids[exc.sample]]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +460,16 @@ def load_events(path):
     An event_id may appear only once.
     """
     fixed = ("event_id", "label", "latitude", "longitude", "timestamp")
-    with _table(path, fixed, (1, 4)) as (header, read):
+    with _table(path, fixed, (1, 4)) as (header, rows):
         channels = tuple(header[5:])
-        ids, bounds, cells, floats = read()
-    table, events, seen = floats((0, len(cells))), [], set()
-    for event_id, a, b in zip(ids, bounds.tolist(), bounds[1:].tolist()):
-        for row in range(a, b):
-            (label, timestamp), (latitude, longitude, *auxiliary) = cells[row].tolist(), table[row].tolist()
-            try:
-                if event_id in seen:
-                    raise ValidationError(f"repeated event_id {event_id!r}")
-                seen.add(event_id)
-                events.append(EventRecord(event_id, label, latitude, longitude, timestamp,
-                                          dict(zip(channels, auxiliary))))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{row + 2}: {exc}") from None
+        events, seen = [], set()
+        for _, (event_id, label, timestamp), table, i in rows:
+            if event_id in seen:
+                raise ValidationError(f"repeated event_id {event_id!r}")
+            seen.add(event_id)
+            latitude, longitude, *auxiliary = table[i].tolist()
+            events.append(EventRecord(event_id, label, latitude, longitude, timestamp,
+                                      dict(zip(channels, auxiliary))))
     return events, channels
 
 
@@ -610,27 +623,28 @@ def load_volumes(path):
     parse (see _table) gets views of that part's table, any other event
     a copy."""
     fixed = ("event_id", "timestamp", "nx", "ny", "nz", "missing")
-    with _table(path, fixed, (1, 2, 3, 4)) as (header, read):
-        size = len(header) - 6
-        ids, bounds, cells, floats = read()
-    dims = tuple(cells[0, 1:].tolist()) if len(cells) else None
-    # the first row, then the first whose dims differ from its
-    for row in [0, *np.flatnonzero((cells[:, 1:] != cells[:1, 1:]).any(axis=1))[:1].tolist()] if dims else []:
-        shape, at = tuple(cells[row, 1:].tolist()), f"{path}:{row + 2}:"
-        if min(shape) < 1:
-            raise ValidationError(f"{at} dims must be three positive ints, got {shape}")
-        if math.prod(shape) != size:
-            raise DimensionError(f"{at} volume has {size} cells, dims {shape} require {math.prod(shape)}")
-        if row:
-            raise DimensionError(f"{at} grid dims {shape} differ from the first row's {dims}")
-    runs = {}  # the (first, past last) records of each run of an event's rows, in file order
-    for event_id, a, b in zip(ids, bounds.tolist(), bounds[1:].tolist()):
-        runs.setdefault(event_id, []).append((a, b))
-    scans = {}
-    for event_id, spans in runs.items():
-        block, stamps = floats(*spans), np.concatenate([cells[a:b, 0] for a, b in spans])
+    with _table(path, fixed, (1, 2, 3, 4)) as (header, rows):
+        cells, dims, scans, first_lines = len(header) - 6, None, {}, {}
+        for line, (event_id, stamp, *shape), table, i in rows:
+            shape = tuple(shape)
+            if shape != dims:
+                if min(shape) < 1:
+                    raise ValidationError(f"dims must be three positive ints, got {shape}")
+                if math.prod(shape) != cells:
+                    raise DimensionError(f"volume has {cells} cells, dims {shape} require {math.prod(shape)}")
+                if dims:
+                    raise DimensionError(f"grid dims {shape} differ from the first row's {dims}")
+                dims = shape
+            first_lines.setdefault(event_id, line)
+            scans.setdefault(event_id, []).append((stamp, table, i))
+    for event_id, entries in scans.items():
+        stamps, tables, index = zip(*entries)
+        if index[-1] - index[0] == len(index) - 1 and all(t is tables[0] for t in tables):
+            block = tables[0][index[0]:index[-1] + 1]
+        else:
+            block = np.array([t[i] for t, i in zip(tables, index)])
         scans[event_id] = ScanBlock(stamps, block[:, 0], block[:, 1:].reshape(-1, *dims))
-    return scans, {event_id: spans[0][0] + 2 for event_id, spans in runs.items()}
+    return scans, first_lines
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +670,11 @@ def write_report_csv(path, reports):
 
 def read_report_csv(path):
     """Inverse of write_report_csv."""
-    with _table(path, _REPORT_FIELDS, (1, *range(9, 18))) as (header, read):
+    reports = []
+    with _table(path, _REPORT_FIELDS, (1, *range(9, 18))) as (header, rows):
         if len(header) != len(_REPORT_FIELDS):
             raise ParseError(f"{path}: header must be {','.join(_REPORT_FIELDS)}")
-        ids, bounds, cells, floats = read()
-    table, reports = floats((0, len(cells))), []
-    for name, a, b in zip(ids, bounds.tolist(), bounds[1:].tolist()):
-        for row in range(a, b):
-            try:
-                reports.append(MetricsReport(name, int(cells[row, 0]), *table[row].tolist(),
-                                             confusion=cells[row, 1:].reshape(3, 3).copy()))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{row + 2}: {exc}") from None
+        for _, (name, positive_class, *counts), table, i in rows:
+            cm = np.array(counts, dtype=np.int64).reshape(3, 3)
+            reports.append(MetricsReport(name, positive_class, *table[i].tolist(), confusion=cm))
     return reports

@@ -12,6 +12,7 @@ import math
 import pathlib
 import platform
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -327,8 +328,10 @@ def test_end_to_end_learnability(tmp_path):
     save_checkpoint(params, model_config, tmp_path / "model.ckpt")
     probs = forward(parts.test.data, params, model_config)
     write_predictions(tmp_path / "predictions.csv", parts.test, probs, predict_class(probs))
-    _check_digests({path.name: path.read_bytes() for path in tmp_path.iterdir()},
-                   _DIGESTS.with_name("default_digests.txt"))
+    uncompared = _check_digests({path.name: path.read_bytes() for path in tmp_path.iterdir()},
+                                _DIGESTS.with_name("default_digests.txt"))
+    if uncompared:  # the learnability verdict above stands; only the model-side bytes went unchecked
+        warnings.warn(uncompared)
 
 
 _SMALL_RUN = (
@@ -377,8 +380,9 @@ def _numeric_build():
 def _check_digests(files, digests):
     """Compare the sha256 of each file's bytes ({name: bytes}) with the
     digest file: the data-side files always, the model-side files only on
-    the NumPy/BLAS build they were recorded on, the test ending skipped on
-    another.  Re-record digests only for a change meant to alter bytes."""
+    the NumPy/BLAS build they were recorded on.  Returns why the model
+    side was not compared, on another build, else None.  Re-record
+    digests only for a change meant to alter bytes."""
     got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     lines = [line for line in digests.read_text().splitlines() if not line.startswith("#")]
     build = lines[0].removeprefix("build ")
@@ -390,7 +394,8 @@ def _check_digests(files, digests):
     _verdict(not differ, f"artifact digests ({digests.name})",
              f"differ: {', '.join(differ)}" if differ else f"{len(compared)} files match")
     if not same_build:
-        pytest.skip(f"model-side files not compared: recorded on {build}, running {_numeric_build()}")
+        return f"model-side files not compared: recorded on {build}, running {_numeric_build()}"
+    return None
 
 
 def test_artifact_digests(tmp_path):
@@ -405,7 +410,9 @@ def test_artifact_digests(tmp_path):
         assert cli.main(sub + ["--config", str(config), "--out", str(out)]) == 0, sub[0]
     files = {path.name: path.read_bytes() for path in out.iterdir()}
     files["run_config.txt"] = files["run_config.txt"].replace(str(out).encode(), b"OUT")
-    _check_digests(files, _DIGESTS)
+    uncompared = _check_digests(files, _DIGESTS)
+    if uncompared:
+        pytest.skip(uncompared)
 
 
 def test_balance_and_split_contract():

@@ -117,25 +117,6 @@ def test_conv1d_kernel_too_long():
         conv1d(x, w, Tensor([0.0]))
 
 
-@pytest.mark.parametrize("batch, steps, width, kernel, padding", [
-    (32, 12, 16, 3, "valid"), (32, 10, 32, 3, "valid"), (20, 12, 16, 3, "valid"),
-    (20, 10, 32, 3, "valid"), (8, 12, 16, 2, "same"), (8, 12, 16, 5, "valid"), (8, 10, 32, 5, "same")])
-def test_conv1d_weight_gradient_has_the_strided_einsums_bits(batch, steps, width, kernel, padding):
-    # the rule sums over a contiguous copy of the windows; the default
-    # model's two conv layers and their last batches among the shapes
-    rng = np.random.default_rng(batch * kernel)
-    x = rng.standard_normal((batch, steps, width))
-    w = rng.standard_normal((kernel, width, 32))
-    with Graph() as graph:
-        out = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(32)), padding)
-    g = rng.standard_normal(out.shape)
-    _, dw, _ = graph.ops[-1][2](g)
-    left = (kernel - 1) // 2 if padding == "same" else 0
-    xp = np.pad(x, ((0, 0), (left, kernel - 1 - left if padding == "same" else 0), (0, 0)))
-    want = np.einsum("btdj,btf->jdf", np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1), g)
-    assert dw.tobytes() == want.tobytes()
-
-
 def test_conv1d_and_nll_loss_take_batches_only():
     with pytest.raises(DimensionError):
         conv1d(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2, 1))), Tensor([0.0]))
