@@ -431,7 +431,7 @@ def load_checkpoint(path):
             if got != count:
                 state = f"incomplete block for {name}" if got < count else f"block for {name} is too long"
                 raise ParseError(f"{path}:{start}: {state}: got {got} of {count} values")
-            params[name] = Tensor(np.concatenate(chunks).reshape(shape), _checked=True)
+            params[name] = Tensor(np.concatenate(chunks).reshape(shape))
     missing = [n for n in expected if n not in params]
     if missing:
         raise ValidationError(f"{path}: checkpoint is missing parameters {missing}")
@@ -444,12 +444,13 @@ def load_checkpoint(path):
 
 def write_events(path, events, channels):
     """One CSV row per event; auxiliary channels become named columns."""
+    tail = "," if channels else ""  # no auxiliary channels, no trailing comma
     with replacing(path) as fh:
         fh.write(_header(["event_id", "label", "latitude", "longitude", "timestamp", *channels]))
+        # float() first: a NumPy scalar's repr is np.float64(...)
         fh.writelines(
-            ",".join([_cell(e.event_id), str(e.label), repr(float(e.latitude)),
-                      repr(float(e.longitude)), str(e.timestamp)]
-                     + [repr(float(e.auxiliary[c])) for c in channels]) + "\n"
+            f"{_cell(e.event_id)},{e.label},{_reprs([float(e.latitude), float(e.longitude)])},"
+            f"{e.timestamp}{tail}{_reprs([float(e.auxiliary[c]) for c in channels])}\n"
             for e in events
         )
 

@@ -145,10 +145,6 @@ class ModelConfig:
         return t
 
 
-def _conv_in_channels(config, layer):
-    return config.input_channels if layer == 0 else config.conv_layers[layer - 1][0]
-
-
 def standardize_inputs(config: ModelConfig, samples) -> ModelConfig:
     """Bake per-channel standardization from a training set into the
     config.
@@ -176,20 +172,20 @@ def standardize_inputs(config: ModelConfig, samples) -> ModelConfig:
 def expected_param_shapes(config: ModelConfig):
     """Name -> shape map in initialization order."""
     shapes = {}
+    d_in = config.input_channels
     for i, (filters, kernel) in enumerate(config.conv_layers):
-        d_in = _conv_in_channels(config, i)
         shapes[f"conv{i}_w"] = (kernel, d_in, filters)
         shapes[f"conv{i}_b"] = (filters,)
-    d_rec = config.conv_layers[-1][0] if config.conv_layers else config.input_channels
+        d_in = filters
     hidden = config.lstm_hidden
     if config.recurrent == "rnn":
-        shapes["rnn_w"] = (hidden + d_rec, hidden)
+        shapes["rnn_w"] = (hidden + d_in, hidden)
         shapes["rnn_b"] = (hidden,)
     else:
         directions = ("fwd", "bwd") if config.recurrent == "bilstm" else ("fwd",)
         for d in directions:
             for g in _GATES:
-                shapes[f"lstm_{d}_w{g}"] = (hidden + d_rec, hidden)
+                shapes[f"lstm_{d}_w{g}"] = (hidden + d_in, hidden)
             for g in _GATES:
                 shapes[f"lstm_{d}_b{g}"] = (hidden,)
     width = config.feature_width
@@ -242,24 +238,26 @@ def lstm_cell(x_t, h_prev, c_prev, gates):
     return h, c
 
 
-def _gate_view(params, direction):
-    return {f"{kind}{g}": params[f"lstm_{direction}_{kind}{g}"] for kind in ("w", "b") for g in _GATES}
+def _scan(x, cell, state, reverse):
+    """Run a recurrent cell over the steps of (B, T, D): state =
+    cell(x_t, *state) at each step, right to left when reverse.
+    Returns each step's state[0] in time order."""
+    steps = x.shape[1]
+    if steps == 0:
+        raise UsageError("recurrent forward needs at least one time step")
+    outputs = [None] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        state = cell(time_slice(x, t), *state)
+        outputs[t] = state[0]
+    return outputs
 
 
 def _lstm_scan(x, params, direction, reverse):
-    batch, steps, _ = x.shape
-    if steps == 0:
-        raise UsageError("recurrent forward needs at least one time step")
-    hidden = params[f"lstm_{direction}_wf"].shape[1]
-    gates = _gate_view(params, direction)
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    outputs = [None] * steps
-    for t in order:
-        h, c = lstm_cell(time_slice(x, t), h, c, gates)
-        outputs[t] = h
-    return outputs
+    gates = {f"{kind}{g}": params[f"lstm_{direction}_{kind}{g}"] for kind in ("w", "b") for g in _GATES}
+    zeros = np.zeros((x.shape[0], gates["wf"].shape[1]))
+    # each step looks lstm_cell up, so a wrapper set on the module sees every call
+    cell = lambda x_t, h, c: lstm_cell(x_t, h, c, gates)
+    return _scan(x, cell, (Tensor(zeros), Tensor(zeros)), reverse)
 
 
 def lstm_forward(x, params):
@@ -281,17 +279,10 @@ def bilstm_forward(x, params):
 
 def rnn_forward(x, params):
     """Plain tanh RNN over (B, T, D); returns (B, T, hidden)."""
-    batch, steps, _ = x.shape
-    if steps == 0:
-        raise UsageError("recurrent forward needs at least one time step")
-    hidden = params["rnn_w"].shape[1]
-    h = Tensor(np.zeros((batch, hidden)))
-    outputs = []
-    for t in range(steps):
-        z = concat([h, time_slice(x, t)])
-        h = tanh(bias_add(matmul(z, params["rnn_w"]), params["rnn_b"]))
-        outputs.append(h)
-    return time_stack(outputs)
+    w, b = params["rnn_w"], params["rnn_b"]
+    h0 = Tensor(np.zeros((x.shape[0], w.shape[1])))
+    cell = lambda x_t, h: (tanh(bias_add(matmul(concat([h, x_t]), w), b)),)
+    return time_stack(_scan(x, cell, (h0,), False))
 
 
 def scaled_dot_attention(q, k, v):

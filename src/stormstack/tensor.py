@@ -42,9 +42,9 @@ class Tensor:
 
     __slots__ = ("array", "grad", "__weakref__")
 
-    def __init__(self, data, _checked=False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if not _checked and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise NumericError("tensor values must be finite (got NaN or Inf)")
         arr.flags.writeable = False
         self.array = arr
@@ -75,7 +75,20 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class Graph:
+class _Scope:
+    """A with-block scope; each subclass stacks its open instances in its own ``_open``."""
+
+    def __enter__(self):
+        self._open.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = self._open.pop()
+        assert popped is self
+        return False
+
+
+class Graph(_Scope):
     """Execution-ordered record of differentiable operations.
 
     Each entry holds weak references to the output and input tensors and
@@ -87,17 +100,10 @@ class Graph:
     nothing more may be recorded on it.
     """
 
+    _open = []
+
     def __init__(self):
         self.ops = []
-
-    def __enter__(self):
-        _graph_stack.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        popped = _graph_stack.pop()
-        assert popped is self
-        return False
 
     def record(self, out, inputs, backward_fn):
         # weakref.ref returns a tensor's existing ref, so all entries key a
@@ -107,14 +113,11 @@ class Graph:
         self.ops.append((refs[0], refs[1:], backward_fn))
 
 
-_graph_stack = []
-
-
 def _active():
-    return _graph_stack[-1] if _graph_stack else None
+    return Graph._open[-1] if Graph._open else None
 
 
-class RowInvariant:
+class RowInvariant(_Scope):
     """Scope in which every 2-D matmul runs as a stack of one-row
     products, ``np.matmul(a[:, None, :], b)[:, 0, :]``.
 
@@ -125,17 +128,7 @@ class RowInvariant:
     other samples scored with it.  Training never does.
     """
 
-    def __enter__(self):
-        _row_scopes.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        popped = _row_scopes.pop()
-        assert popped is self
-        return False
-
-
-_row_scopes = []
+    _open = []
 
 
 def _emit(values, inputs, backward_fn):
@@ -225,7 +218,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
     if not ok:
         raise DimensionError(f"matmul shapes incompatible: {av.shape} @ {bv.shape}")
-    if _row_scopes and av.ndim == 2:
+    if RowInvariant._open and av.ndim == 2:
         values = np.matmul(av[:, None, :], bv)[:, 0, :]
     else:
         values = np.matmul(av, bv)

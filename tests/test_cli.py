@@ -22,9 +22,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stormstack import cli, dataio, model
+from stormstack import cli, dataio, features, model
 from stormstack.config import RunConfig, parse_config_file, resolve, resolved_lines
 from stormstack.errors import ParseError, UsageError
+from stormstack.features import SequenceSet
+from stormstack.model import init_params, standardize_inputs
+from stormstack.synthetic import SyntheticConfig, generate_synthetic
+from stormstack.tensor import Graph, Tensor, nll_loss
 
 TINY_CONFIG = """\
 # tiny end-to-end run
@@ -1096,6 +1100,39 @@ def test_bench_tracer_finds_every_traced_name(tmp_path):
     _, err = stage.communicate(timeout=300)
     assert (stage.returncode, err) == (2, f"data error: no metrics_*.csv files found in {run}; run evaluate first\n")
     assert json.loads(spans.read_text())["exit"] == 2
+
+
+def test_bench_structural_gates_hold_in_process(monkeypatch):
+    # the traced bench's gates, with counters set where bench/tracer.py sets
+    # them: one extract_shsr_stats call per scan in build_sample, 357 tape
+    # entries per standardized default-architecture batch-32 training step,
+    # and 2 x conv steps lstm_cell calls per forward_batch call
+    counts = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(features, "extract_shsr_stats")
+    data = SyntheticConfig(samples_per_class=11)
+    events, scans = generate_synthetic(data)
+    samples = SequenceSet([e.event_id for e in events], [e.label for e in events],
+                          [features.build_sample(e, s) for e, s in zip(events, scans)])
+    assert counts["extract_shsr_stats"] == len(events) * data.steps
+    config = standardize_inputs(RunConfig().model_config(data.steps, samples.data.shape[2]), samples)
+    count(model, "lstm_cell")
+    count(model, "forward_batch")
+    with Graph() as graph:
+        nll_loss(model.forward_batch(Tensor(samples.data[:32]), init_params(config), config),
+                 samples.labels[:32])
+    assert len(graph.ops) == 357
+    model.forward(samples.data, init_params(config), config)
+    assert counts["forward_batch"] == 4  # the taped step, then 33 samples in chunks of 16
+    assert counts.get("lstm_cell", 0) == 2 * config.conv_steps() * counts["forward_batch"]
 
 
 def _signal_stage(signum, args, ready):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,17 @@ def test_events_round_trip(tmp_path):
     write_events(path, sent, AUX_CHANNELS)
     got, channels = load_events(path)
     assert channels == tuple(AUX_CHANNELS)
+    assert got == sent
+
+
+def test_events_round_trip_without_auxiliary_channels(tmp_path):
+    path = tmp_path / "events.csv"
+    sent = [replace(e, auxiliary={}) for e in _events()]
+    write_events(path, sent, ())
+    assert path.read_text() == ("event_id,label,latitude,longitude,timestamp\n"
+                                "ev0,0,30.0,-100.0,1000\nev1,1,31.0,-99.0,1100\nev2,2,32.0,-98.0,1200\n")
+    got, channels = load_events(path)
+    assert channels == ()
     assert got == sent
 
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from stormstack import tensor
 from stormstack.errors import DimensionError, NumericError, UsageError, ValidationError
 from stormstack.features import SequenceSet
 from stormstack.model import (
@@ -359,7 +358,7 @@ def test_row_invariant_scope_closes_on_error():
     params = dict(init_params(cfg), conv0_w=Tensor(np.full((3, 3, 4), 1e308)))
     with pytest.raises(NumericError):
         forward(np.ones((2, 6, 3)), params, cfg)
-    assert tensor._row_scopes == []
+    assert RowInvariant._open == []
     rng = np.random.default_rng(21)
     a, b = rng.standard_normal((CHUNK, 48)), rng.standard_normal((48, 32))
     assert np.array_equal(matmul(Tensor(a), Tensor(b)).array, np.matmul(a, b))
